@@ -10,7 +10,6 @@ harnesses (:mod:`calibration`).  :mod:`cli` binds everything to text streams.
 from .core import (
     BitString,
     ProbabilityVector,
-    Rational,
     SymbolWord,
     cumulative,
     entropy,
@@ -48,7 +47,6 @@ from .engine import (
     WindowExhausted,
     certified_radius,
     map_range,
-    next_position,
     run_schedule,
     scan_markers,
     segment_blocks,

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import special
 
 from .core import ProbabilityVector, cumulative, entropy
+from .engine import scan_markers
 from .extractor import (
     PatternConfig,
     class_from_index,
@@ -39,15 +40,6 @@ def expected_block_length(p: ProbabilityVector, t: int) -> Fraction:
     if t < 1:
         raise ValueError("marker length must be >= 1")
     return 1 / (p.prob(2) * p.prob(1) ** (t - 1))
-
-
-def _marker_positions(arr: np.ndarray, t: int) -> np.ndarray:
-    is2 = arr == 2
-    if t == 1:
-        return np.flatnonzero(is2)
-    cs = np.concatenate([[0], np.cumsum(arr == 1)])
-    cand = np.flatnonzero(is2[: max(len(arr) - t + 1, 0)])
-    return cand[cs[cand + t] - cs[cand + 1] == t - 1]
 
 
 def _exact_sampler(p: ProbabilityVector):
@@ -83,12 +75,13 @@ def sample_blocks(
         raise ValueError("count must be >= 1")
     e_lam = float(expected_block_length(p, t))
     cap = max_symbols if max_symbols is not None else int(64 * (count + 16) * e_lam) + 4096
+    cfg = PatternConfig(p.size, t)
     rng = np.random.Generator(np.random.PCG64(seed))
     buf = np.empty(0, dtype=np.int64)
     while True:
         chunk = max(4096, int(e_lam * (count + 8) * 1.25) + 1024 - len(buf))
         buf = np.concatenate([buf, sample_symbols(p, chunk, rng)])
-        markers = _marker_positions(buf, t)
+        markers = scan_markers(buf, cfg)
         if len(markers) >= count + 1:
             break
         if len(buf) > cap:

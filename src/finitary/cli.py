@@ -307,11 +307,12 @@ def _cmd_verify_bounds(args, stdin, stdout) -> int:
     )
     for k, s in enumerate(report.survival):
         stdout.write(f"survival_{k}\t{s}\n")
-    ok = report.loose_bound_ok and report.mean_ok
-    if report.dyadic_interior:
-        ok = ok  # tight bound exempt when an interior point is dyadic
-    else:
-        ok = ok and report.tight_bound_ok
+    # The tight bound is exempt when an interior cumulative point is dyadic.
+    ok = (
+        report.loose_bound_ok
+        and report.mean_ok
+        and (report.dyadic_interior or report.tight_bound_ok)
+    )
     return EXIT_OK if ok else EXIT_VERIFY
 
 

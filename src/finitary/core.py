@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-Rational = Fraction
-
 SymbolWord = tuple[int, ...]
 BitString = tuple[int, ...]
 

@@ -107,21 +107,6 @@ class DyadicCursor:
         return None
 
 
-def new_cursor(q: ProbabilityVector, horizon: int) -> DyadicCursor:
-    """Fresh cursor over the unit interval with nothing emitted."""
-    return DyadicCursor(q, horizon)
-
-
-def feed_bit(cursor: DyadicCursor, bit: int) -> tuple[DyadicCursor, list[int]]:
-    """Feed one bit; returns the (mutated) cursor and the newly emitted symbols."""
-    emitted = cursor.feed(bit)
-    return cursor, emitted
-
-
-def is_successful(cursor: DyadicCursor) -> bool:
-    return cursor.successful
-
-
 def simulate_one(q: ProbabilityVector, bits: Sequence[int]) -> tuple[int, int]:
     """Run the one-symbol simulation on a finite bit string.
 

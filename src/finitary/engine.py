@@ -3,12 +3,15 @@
 The input stream is cut into blocks at markers (the pattern 2 followed by
 t-1 ones).  Each block's interior word is squeezed into unbiased bits; one
 simulator per block then reads bits to draw the block's worth of output
-symbols.  All simulators run in lockstep, each advancing one bit position per
-step; positions already consumed are skipped, and when several simulators
-meet at a free position the rightmost one reads it while the others move on
-(a queue-up).  A simulator that outruns its own block's bits drifts into the
-blocks to its right.  The whole update is synchronous: every decision at a
-step reads only the previous step's state.
+symbols.  The simulators follow a lockstep rule: each advances one bit
+position per step, positions already consumed are skipped, and when several
+simulators meet at a free position the rightmost one reads it while the
+others move on (a queue-up).  A simulator that outruns its own block's bits
+drifts into the blocks to its right.
+
+Lockstep simulators keep their offsets, so the rule is a stack, and the
+schedule runs as one left-to-right sweep over the bit positions: the latest
+started simulator that is still running reads each position.
 
 The transform never sees the law that generated the input, only the stream
 itself, so identical streams give identical outputs no matter their origin.
@@ -19,6 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import ProbabilityVector, SymbolWord, check_word
 from .dyadic import DyadicCursor
@@ -36,7 +41,7 @@ class UndeterminedIndex(LookupError):
 
 
 class InvariantViolation(AssertionError):
-    """A schedule invariant (disjoint consumption / lockstep) failed."""
+    """A schedule invariant (disjoint, in-order reads) failed."""
 
 
 @dataclass(frozen=True)
@@ -71,16 +76,16 @@ class BlockRecord:
 
 
 def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
-    """Positions (0-based) where the full marker pattern fits and matches."""
+    """Positions (0-based) where the full marker pattern fits and matches.
+
+    Every 2 that leaves room for the pattern is a candidate; a prefix count
+    of ones confirms the t-1 ones after it.
+    """
     t = cfg.marker_len
-    out = []
-    n = len(segment)
-    for i in range(n - t + 1):
-        if segment[i] != 2:
-            continue
-        if all(segment[i + d] == 1 for d in range(1, t)):
-            out.append(i)
-    return out
+    arr = np.asarray(segment)
+    ones = np.concatenate([[0], np.cumsum(arr == 1)])
+    cand = np.flatnonzero(arr[: max(len(arr) - t + 1, 0)] == 2)
+    return cand[ones[cand + t] - ones[cand + 1] == t - 1].tolist()
 
 
 def segment_blocks(segment: Sequence[int], cfg: PatternConfig) -> list[BlockRecord]:
@@ -112,23 +117,6 @@ def blocks_from_markers(
     return blocks
 
 
-def next_position(
-    j: int, m: int, blocks: Sequence[BlockRecord]
-) -> tuple[int, int] | None:
-    """Successor of bit position (j, m): next bit in block j, else the first
-    bit of the next nonempty block.  None means the window has no successor.
-    """
-    v = blocks[j].bit_count
-    if not (v > 0 and 1 <= m <= v):
-        raise ValueError(f"invalid position ({j}, {m})")
-    if m < v:
-        return (j, m + 1)
-    for j2 in range(j + 1, len(blocks)):
-        if blocks[j2].bit_count > 0:
-            return (j2, 1)
-    return None
-
-
 @dataclass(frozen=True)
 class ScheduleResult:
     """Outcome of a schedule run.
@@ -154,13 +142,23 @@ def run_schedule(
     q: ProbabilityVector,
     targets: Iterable[int],
 ) -> ScheduleResult:
-    """Run the lockstep schedule until every target simulator succeeds or
-    runs off the window.
+    """Run the block schedule until every target simulator succeeds or runs
+    off the window.
 
     Simulators exist for every block index from min(targets) to the end of
     the window; indices below min(targets) cannot influence those at or above
-    it.  Two-phase update: all decisions for a step read the previous step's
-    positions and consumed set, then commit together.
+    it.  One left-to-right sweep over the flat bit positions pushes each
+    simulator when it reaches the simulator's first position and lets the
+    simulator on top of the stack read; a successful simulator is popped.
+    This is the lockstep rule, since lockstep simulators never change their
+    offsets: position p is reached first by the running simulator with the
+    largest start <= p (the larger index on a tie), which is the top.
+
+    ``steps`` is the lockstep's step count, the largest finishing offset over
+    the targets.  The lockstep stops there, so simulator j keeps only the
+    reads at positions below ``start[j] + steps``.  A read past j's limit is
+    past the limit of every simulator below j on the stack, so dropping it
+    changes no kept read.
     """
     targets = sorted(set(targets))
     if not targets:
@@ -173,83 +171,74 @@ def run_schedule(
         raise ValueError(f"targets outside window blocks 0..{nblocks - 1}")
 
     flat_bits: list[int] = []
-    flat_pos: list[tuple[int, int]] = []
+    owner: list[int] = []
     first_flat = [0] * (nblocks + 1)
     for j, blk in enumerate(blocks):
         first_flat[j] = len(flat_bits)
         flat_bits.extend(blk.bits)
-        flat_pos.extend((j, m) for m in range(1, blk.bit_count + 1))
+        owner.extend([j] * blk.bit_count)
     total = len(flat_bits)
     first_flat[nblocks] = total
     flat_used = bytearray(total)
 
-    sims = list(range(targets[0], nblocks))
-    pos = {k: first_flat[k] for k in sims}
-    cursors = {k: DyadicCursor(q, blocks[k].length) for k in sims}
+    sims = range(targets[0], nblocks)
     taken: dict[int, list[int]] = {k: [] for k in sims}
-    frozen: dict[int, bool] = {k: False for k in sims}
     results: dict[int, SymbolWord] = {}
-    reach: dict[int, int] = {}
-    steps = 0
+    done: dict[int, int] = {}  # simulator -> position of its successful read
+
+    def position(p: int) -> tuple[int, int]:
+        j = owner[p]
+        return (j, p - first_flat[j] + 1)
+
+    def finish(k: int) -> int:
+        # The lockstep step at which target k stops running.
+        return done[k] - first_flat[k] + 1 if k in done else total - first_flat[k]
+
+    pending = {k for k in targets if first_flat[k] < total}
+    steps = None if pending else 0
+    stack: list[tuple[int, DyadicCursor]] = []
+    nxt = targets[0]
     checks = 0
-
-    def running() -> list[int]:
-        return [k for k in sims if not frozen[k] and pos[k] < total]
-
-    while any(not frozen[k] and pos[k] < total for k in targets):
-        steps += 1
-        live = running()
-        occupant: dict[int, int] = {}
-        for k in live:
-            p = pos[k]
-            if k > occupant.get(p, -1):
-                occupant[p] = k
-        consumers = []
-        movers = []
-        for k in live:
-            p = pos[k]
-            if flat_used[p] or occupant[p] != k:
-                movers.append(k)
-            else:
-                consumers.append(k)
-        committed: set[int] = set()
-        for k in consumers:
-            p = pos[k]
+    for p in range(first_flat[nxt], total):
+        while nxt < nblocks and first_flat[nxt] == p:
+            stack.append((nxt, DyadicCursor(q, blocks[nxt].length)))
+            nxt += 1
+        if stack and (steps is None or p < first_flat[stack[-1][0]] + steps):
+            k, cursor = stack[-1]
             checks += 1
-            if flat_used[p] or p in committed:
+            if flat_used[p]:
                 raise InvariantViolation(
-                    f"position {flat_pos[p]} consumed twice (simulator {k})"
+                    f"position {position(p)} consumed twice (simulator {k})"
                 )
-            committed.add(p)
-            taken[k].append(p)
-            cursors[k].feed(flat_bits[p])
-            if cursors[k].successful:
-                frozen[k] = True
-                results[k] = tuple(cursors[k].emitted)
-                reach[k] = flat_pos[p][0]
-            else:
-                movers.append(k)
-        for p in committed:
             flat_used[p] = 1
-        # Lockstep: in the flat position order, NEXT is +1, so advancing by
-        # exactly one per step is structural; the falsifiable consequence
-        # (strictly increasing reads per simulator) is checked at the end.
-        for k in movers:
-            pos[k] += 1
+            taken[k].append(p)
+            cursor.feed(flat_bits[p])
+            if cursor.successful:
+                stack.pop()
+                results[k] = tuple(cursor.emitted)
+                done[k] = p
+                pending.discard(k)
+                if steps is None and not pending:
+                    steps = max(map(finish, targets))
+    if steps is None:
+        steps = max(map(finish, targets))
 
-    exited = frozenset(k for k in sims if not frozen[k] and pos[k] >= total)
-    consumed = {k: tuple(flat_pos[p] for p in taken[k]) for k in sims}
-    read_bits = {k: tuple(flat_bits[p] for p in taken[k]) for k in sims}
     for k in sims:
+        limit = first_flat[k] + steps
+        taken[k] = [p for p in taken[k] if p < limit]
+        if k in done and done[k] >= limit:
+            del done[k], results[k]
         checks += 1
         if any(a >= b for a, b in zip(taken[k], taken[k][1:])):
             raise InvariantViolation(f"simulator {k} read out of order")
     return ScheduleResult(
         results=results,
-        consumed=consumed,
-        read_bits=read_bits,
-        reach=reach,
-        exited=exited,
+        consumed={k: tuple(map(position, taken[k])) for k in sims},
+        read_bits={k: tuple(flat_bits[p] for p in taken[k]) for k in sims},
+        reach={k: owner[p] for k, p in done.items()},
+        exited=frozenset(
+            k for k in sims if k not in done and first_flat[k] + steps >= total
+        ),
         steps=steps,
         invariant_checks=checks,
     )

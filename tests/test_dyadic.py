@@ -6,13 +6,11 @@ from hypothesis import given, strategies as st
 
 from finitary.core import ProbabilityVector, entropy, validate_distribution
 from finitary.dyadic import (
+    DyadicCursor,
     InsufficientBitsError,
     exact_mean_T,
     exact_symbol_law,
     exact_tail,
-    feed_bit,
-    is_successful,
-    new_cursor,
     simulate_one,
 )
 
@@ -25,24 +23,23 @@ Q14 = ProbabilityVector.parse("1/4,3/4")
 
 
 def run_bits(q, horizon, bits):
-    cursor = new_cursor(q, horizon)
+    cursor = DyadicCursor(q, horizon)
     emitted = []
     for b in bits:
         if cursor.successful:
             break
-        cursor, new = feed_bit(cursor, b)
-        emitted.extend(new)
+        emitted.extend(cursor.feed(b))
     return cursor, emitted
 
 
 class TestCursor:
     def test_fresh_cursor_state(self):
-        c = new_cursor(FAIR, 1)
+        c = DyadicCursor(FAIR, 1)
         assert (c.lo, c.hi, c.bits_consumed) == (0, 1, 0)
-        assert not is_successful(c)
-        c2 = new_cursor(Q13, 2)
+        assert not c.successful
+        c2 = DyadicCursor(Q13, 2)
         assert c2.horizon == 2 and c2.emitted == []
-        assert new_cursor(Q14, 5).horizon == 5
+        assert DyadicCursor(Q14, 5).horizon == 5
 
     def test_feed_emits_after_third_bit_fair(self):
         c, emitted = run_bits(FAIR, 1, (0, 0, 1))
@@ -70,11 +67,11 @@ class TestCursor:
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
-            new_cursor(FAIR, 1).feed(2)
+            DyadicCursor(FAIR, 1).feed(2)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
-            new_cursor(FAIR, 0)
+            DyadicCursor(FAIR, 0)
 
 
 class TestSimulateOne:
@@ -128,7 +125,7 @@ def test_interval_nesting(bits, size, seed_shift):
     q = validate_distribution(
         [F(1, size)] * (size - 1) + [F(size - (size - 1), size)]
     )
-    c = new_cursor(q, 3)
+    c = DyadicCursor(q, 3)
     prev_lo, prev_hi = c.lo, c.hi
     for b in bits:
         if c.successful:

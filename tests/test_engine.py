@@ -11,7 +11,6 @@ from finitary.engine import (
     WindowExhausted,
     certified_radius,
     map_range,
-    next_position,
     run_schedule,
     scan_markers,
     segment_blocks,
@@ -81,33 +80,6 @@ class TestSegmentBlocks:
                 assert blk.length >= 2 and blk.word_length >= 0
 
 
-class TestNextPosition:
-    def setup_method(self):
-        self.blocks = [
-            synthetic_block(0, 2, []),
-            synthetic_block(1, 2, []),
-            synthetic_block(2, 2, []),
-            synthetic_block(3, 2, []),
-            synthetic_block(4, 2, []),
-            synthetic_block(5, 2, [0, 1, 0]),
-            synthetic_block(6, 2, []),
-            synthetic_block(7, 2, [1, 1]),
-        ]
-
-    def test_within_block(self):
-        assert next_position(5, 2, self.blocks) == (5, 3)
-
-    def test_skips_empty_blocks(self):
-        assert next_position(5, 3, self.blocks) == (7, 1)
-
-    def test_window_boundary(self):
-        assert next_position(7, 2, self.blocks) is None
-
-    def test_invalid_position(self):
-        with pytest.raises(ValueError):
-            next_position(6, 1, self.blocks)
-
-
 class TestRunSchedule:
     def test_single_block_self_sufficient(self):
         blocks = [BlockRecord(0, 0, 2, (), (0, 0, 1, 0))]
@@ -158,20 +130,44 @@ class TestRunSchedule:
             run_schedule(blocks, FAIR, [5])
 
 
+SCHEDULE_STREAMS = [
+    (11, 10_000, 2, 4, FAIR),
+    (12, 5_000, 3, 3, FAIR),
+    (13, 4_000, 3, 3, Q13),
+    (14, 2_000, 2, 2, Q13),
+]
+
+
+def target_set(kind, nblocks):
+    """Every block, the middle block, the middle third, or a seeded quarter."""
+    if kind == "all":
+        return range(nblocks)
+    if kind == "middle":
+        return [nblocks // 2]
+    if kind == "subrange":
+        return range(nblocks // 3, 2 * nblocks // 3)
+    rng = np.random.Generator(np.random.PCG64(nblocks))
+    return sorted(int(k) for k in rng.choice(nblocks, nblocks // 4, replace=False))
+
+
 class TestAgainstNaiveTranscription:
     @pytest.mark.parametrize(
-        "seed,size,a,t,q",
+        "seed,size,a,t,q,kind",
         [
-            (11, 10_000, 2, 4, FAIR),
-            (12, 5_000, 3, 3, FAIR),
-            (13, 4_000, 3, 3, Q13),
-            (14, 2_000, 2, 2, Q13),
+            pytest.param(
+                *stream,
+                kind,
+                id="-".join(map(str, stream[:4])) + f"-q{n}"
+                + ("" if kind == "all" else f"-{kind}"),
+            )
+            for kind in ("all", "middle", "subrange", "random")
+            for n, stream in enumerate(SCHEDULE_STREAMS)
         ],
     )
-    def test_schedule_matches(self, seed, size, a, t, q):
+    def test_schedule_matches(self, seed, size, a, t, q, kind):
         stream = random_stream(seed, size, a)
         blocks = segment_blocks(stream, PatternConfig(a, t))
-        targets = range(len(blocks))
+        targets = target_set(kind, len(blocks))
         res = run_schedule(blocks, q, targets)
         done, consumed, reach, exited, steps = naive_schedule(blocks, q, targets)
         assert res.results == done
