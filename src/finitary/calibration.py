@@ -20,6 +20,7 @@ import numpy as np
 from scipy import special
 
 from .core import ProbabilityVector, cumulative, entropy
+from .dyadic import _has_dyadic_interior
 from .engine import scan_markers
 from .extractor import (
     PatternConfig,
@@ -367,9 +368,6 @@ def verify_simu1(q: ProbabilityVector, kmax: int) -> Simu1Report:
     mean_lo = sum(survival[:-1], Fraction(0))
     mean_hi = mean_lo + Fraction(2 * (b + 1), 1 << (kmax - 1))
     bound = entropy(q) / LOG2 + 6.0
-    dyadic_interior = any(
-        v.denominator & (v.denominator - 1) == 0 for v in cum[1:-1]
-    )
     return Simu1Report(
         target=q,
         kmax=kmax,
@@ -380,7 +378,7 @@ def verify_simu1(q: ProbabilityVector, kmax: int) -> Simu1Report:
         loose_bound_ok=all(
             s <= Fraction(2 * (b + 1), 1 << k) for k, s in enumerate(survival)
         ),
-        dyadic_interior=dyadic_interior,
+        dyadic_interior=_has_dyadic_interior(cum),
         mean_lo=mean_lo,
         mean_hi=mean_hi,
         entropy_bound=bound,

@@ -3,10 +3,15 @@
 Bits are read as the binary expansion of a point in [0, 1].  The unit
 interval is partitioned by the cumulative sums of the target vector; a symbol
 is determined as soon as the current dyadic interval lies *strictly* inside
-one cell, at which point the cell is rescaled to [0, 1]-shape and refinement
-continues for the next symbol.  Ties (an endpoint landing exactly on a cell
-boundary) never decide, which keeps success monotone under extension of the
-bit string.
+one cell, at which point the cell is rescaled to [0, 1] and refinement
+continues for the next symbol.  This is the interval algorithm of Han and
+Hoshi (1997), the DDG-tree view of Knuth and Yao (1976).
+
+The cursor does the refinement in exact integers: the cumulative sums become
+integer numerators over their common denominator, and the undecided interval
+is kept as numerators over one integer scale relative to the current cell.
+Ties (an endpoint landing exactly on a cell boundary) never decide, which
+keeps success monotone under extension of the bit string.
 
 Also provides exact analyzers of the stopping-time law: per-depth survival
 probabilities, a rigorous enclosure of the expected stopping time, and the
@@ -18,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .core import ProbabilityVector, cumulative
@@ -34,6 +40,21 @@ class DyadicCursor:
     determined (several may cascade from a single bit).  Once ``horizon``
     symbols have been emitted the cursor is successful and frozen.
 
+    The state is integer interval refinement.  With ``Q`` the common
+    denominator of the target and ``C_0 = 0 < C_1 < ... < C_b = Q`` its
+    cumulative numerators, the undecided interval, relative to the cell of
+    the symbols emitted so far, is ``[L/D, (L+W)/D]``:
+
+    - bit ``x`` sets ``L <- 2L + x*W`` and ``D <- 2D``;
+    - symbol ``j`` is determined iff ``C_{j-1}*D < L*Q`` and
+      ``(L+W)*Q < C_j*D``, both strict, so a tie never decides;
+    - emitting ``j`` rescales the cell to [0, 1]: ``L <- L*Q - C_{j-1}*D``,
+      ``W <- W*Q``, ``D <- D*(C_j - C_{j-1})``, then divides out the gcd.
+
+    ``lo``/``hi`` (the absolute dyadic interval read so far) and
+    ``cell_lo``/``cell_hi`` (the absolute cell of the emitted symbols) are
+    exact ``Fraction`` views of that state and ``emitted``.
+
     A degenerate single-symbol target is supported; it still consumes at
     least two bits, since the interval must clear both endpoints of [0, 1].
     """
@@ -41,14 +62,13 @@ class DyadicCursor:
     __slots__ = (
         "target",
         "horizon",
-        "lo",
-        "hi",
         "bits_consumed",
-        "cell_lo",
-        "cell_hi",
         "emitted",
         "_cum",
-        "_bounds",
+        "_den",
+        "_left",
+        "_width",
+        "_scale",
     )
 
     def __init__(self, target: ProbabilityVector, horizon: int):
@@ -56,55 +76,83 @@ class DyadicCursor:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.target = target
         self.horizon = horizon
-        self.lo = Fraction(0)
-        self.hi = Fraction(1)
         self.bits_consumed = 0
-        self.cell_lo = Fraction(0)
-        self.cell_hi = Fraction(1)
         self.emitted: list[int] = []
-        self._cum = cumulative(target)
-        self._bounds = list(self._cum)
+        den = lcm(*(v.denominator for v in target.entries))
+        cum = [0]
+        for v in target.entries:
+            cum.append(cum[-1] + v.numerator * (den // v.denominator))
+        self._cum = cum  # C_0..C_b
+        self._den = den  # Q
+        self._left = 0  # L
+        self._width = 1  # W
+        self._scale = 1  # D
 
     @property
     def successful(self) -> bool:
         return len(self.emitted) == self.horizon
 
+    @property
+    def lo(self) -> Fraction:
+        return self._absolute(self._left)
+
+    @property
+    def hi(self) -> Fraction:
+        return self._absolute(self._left + self._width)
+
+    @property
+    def cell_lo(self) -> Fraction:
+        return self._absolute(0)
+
+    @property
+    def cell_hi(self) -> Fraction:
+        return self._absolute(self._scale)
+
+    def _absolute(self, x: int) -> Fraction:
+        """The point at ``x/D`` of the emitted symbols' cell, in [0, 1]."""
+        cum, den = self._cum, self._den
+        lo, width = 0, 1  # the cell is [lo, lo + width] / Q^m
+        for j in self.emitted:
+            lo = lo * den + cum[j - 1] * width
+            width *= cum[j] - cum[j - 1]
+        scale = self._scale
+        return Fraction(lo * scale + x * width, scale * den ** len(self.emitted))
+
     def feed(self, bit: int) -> list[int]:
         """Consume one bit; return the symbols newly determined by it."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        if self.successful:
+        emitted, horizon = self.emitted, self.horizon
+        if len(emitted) == horizon:
             raise ValueError("cursor is already successful; feeding rejected")
-        half = (self.hi - self.lo) / 2
-        if bit:
-            self.lo += half
-        else:
-            self.hi -= half
+        left, width, scale = self._left, self._width, self._scale
+        left = 2 * left + width if bit else 2 * left
+        scale *= 2
         self.bits_consumed += 1
+        cum, den = self._cum, self._den
         new: list[int] = []
-        while not self.successful:
-            j = self._determined_symbol()
-            if j is None:
+        while True:
+            # Candidate j: the cell holding the left end, C_{j-1} <= L*Q/D < C_j.
+            floor, rem = divmod(left * den, scale)
+            j = bisect_right(cum, floor)
+            if rem == 0 and cum[j - 1] == floor:
+                break  # the left end is on a cell boundary
+            if (left + width) * den >= cum[j] * scale:
                 break
             new.append(j)
-            self.emitted.append(j)
-            self.cell_lo = self._bounds[j - 1]
-            self.cell_hi = self._bounds[j]
-            if not self.successful:
-                width = self.cell_hi - self.cell_lo
-                base = self.cell_lo
-                self._bounds = [base + width * c for c in self._cum]
+            emitted.append(j)
+            left = left * den - cum[j - 1] * scale
+            width *= den
+            scale *= cum[j] - cum[j - 1]
+            g = gcd(left, width, scale)
+            if g > 1:
+                left //= g
+                width //= g
+                scale //= g
+            if len(emitted) == horizon:
+                break
+        self._left, self._width, self._scale = left, width, scale
         return new
-
-    def _determined_symbol(self) -> int | None:
-        # Symbol j is determined iff bounds[j-1] < lo and hi < bounds[j].
-        bounds = self._bounds
-        i = bisect_right(bounds, self.lo)
-        if bounds[i - 1] == self.lo:
-            return None
-        if self.hi < bounds[i]:
-            return i
-        return None
 
 
 def simulate_one(q: ProbabilityVector, bits: Sequence[int]) -> tuple[int, int]:

@@ -5,15 +5,18 @@ the package's optimized code paths: pattern checks scan substrings directly,
 stopping times are evaluated from their defining inequalities over explicit
 prefixes, and the block schedule is a literal dict-based transcription of the
 step rules with the success check re-run from scratch on every read.
+``FractionCursor`` is the simulator cursor as first written, in ``Fraction``
+arithmetic over absolute cell bounds; the package's integer cursor is checked
+against it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 from finitary.core import ProbabilityVector, cumulative
-from finitary.dyadic import DyadicCursor
 from finitary.engine import BlockRecord
 from finitary.extractor import PatternConfig, extract
 
@@ -67,6 +70,86 @@ def brute_survival(q: ProbabilityVector, kmax: int) -> list[Fraction]:
     return out
 
 
+class FractionCursor:
+    """Incremental simulator of ``horizon`` i.i.d. ``target`` symbols.
+
+    Feed bits one at a time; symbols are emitted as soon as they are
+    determined (several may cascade from a single bit).  Once ``horizon``
+    symbols have been emitted the cursor is successful and frozen.
+
+    A degenerate single-symbol target is supported; it still consumes at
+    least two bits, since the interval must clear both endpoints of [0, 1].
+    """
+
+    __slots__ = (
+        "target",
+        "horizon",
+        "lo",
+        "hi",
+        "bits_consumed",
+        "cell_lo",
+        "cell_hi",
+        "emitted",
+        "_cum",
+        "_bounds",
+    )
+
+    def __init__(self, target: ProbabilityVector, horizon: int):
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        self.target = target
+        self.horizon = horizon
+        self.lo = Fraction(0)
+        self.hi = Fraction(1)
+        self.bits_consumed = 0
+        self.cell_lo = Fraction(0)
+        self.cell_hi = Fraction(1)
+        self.emitted: list[int] = []
+        self._cum = cumulative(target)
+        self._bounds = list(self._cum)
+
+    @property
+    def successful(self) -> bool:
+        return len(self.emitted) == self.horizon
+
+    def feed(self, bit: int) -> list[int]:
+        """Consume one bit; return the symbols newly determined by it."""
+        if bit not in (0, 1):
+            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        if self.successful:
+            raise ValueError("cursor is already successful; feeding rejected")
+        half = (self.hi - self.lo) / 2
+        if bit:
+            self.lo += half
+        else:
+            self.hi -= half
+        self.bits_consumed += 1
+        new: list[int] = []
+        while not self.successful:
+            j = self._determined_symbol()
+            if j is None:
+                break
+            new.append(j)
+            self.emitted.append(j)
+            self.cell_lo = self._bounds[j - 1]
+            self.cell_hi = self._bounds[j]
+            if not self.successful:
+                width = self.cell_hi - self.cell_lo
+                base = self.cell_lo
+                self._bounds = [base + width * c for c in self._cum]
+        return new
+
+    def _determined_symbol(self) -> int | None:
+        # Symbol j is determined iff bounds[j-1] < lo and hi < bounds[j].
+        bounds = self._bounds
+        i = bisect_right(bounds, self.lo)
+        if bounds[i - 1] == self.lo:
+            return None
+        if self.hi < bounds[i]:
+            return i
+        return None
+
+
 def naive_schedule(blocks, q, targets):
     """Literal transcription of the synchronous step rules.
 
@@ -92,7 +175,7 @@ def naive_schedule(blocks, q, targets):
         return None
 
     def check_success(z, horizon):
-        cur = DyadicCursor(q, horizon)
+        cur = FractionCursor(q, horizon)
         for b in z:
             cur.feed(b)
             if cur.successful:

@@ -240,8 +240,8 @@ def test_criterion_9_left_independence():
 
 
 def test_criterion_10_schedule_invariants(engine_run):
-    with criterion(10, "schedule invariants (disjointness, lockstep)"):
-        # The disjoint-consumption and lockstep checks are always on inside
+    with criterion(10, "schedule invariants (disjoint, in-order reads)"):
+        # The disjoint-consumption and in-order read checks are always on inside
         # run_schedule and raise InvariantViolation; every run in this suite,
         # including the 2e5-symbol engine run, passed through them.
         _, marker_len, _, result, _ = engine_run

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from finitary.dyadic import (
     simulate_one,
 )
 
-from oracles import brute_survival, oracle_simulate
+from oracles import FractionCursor, brute_survival, oracle_simulate
 
 F = Fraction
 FAIR = ProbabilityVector.parse("1/2,1/2")
@@ -72,6 +73,25 @@ class TestCursor:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             DyadicCursor(FAIR, 0)
+
+    @pytest.mark.parametrize("horizon", [1, 30, 200])
+    @pytest.mark.parametrize(
+        "text", ["1/2,1/2", "1/3,2/3", "1/4,1/4,1/2", "1/6,1/3,1/2", "3/4,1/8,1/8", "1"]
+    )
+    def test_matches_reference_cursor(self, text, horizon):
+        # The integer cursor against the Fraction one, after every bit.
+        q = ProbabilityVector.parse(text)
+        rng = random.Random(f"{text}/{horizon}")
+        c, ref = DyadicCursor(q, horizon), FractionCursor(q, horizon)
+        while not ref.successful:
+            bit = rng.getrandbits(1)
+            assert c.feed(bit) == ref.feed(bit)
+            assert c.emitted == ref.emitted
+            assert (c.bits_consumed, c.successful) == (ref.bits_consumed, ref.successful)
+            assert (c.lo, c.hi) == (ref.lo, ref.hi)
+            assert (c.cell_lo, c.cell_hi) == (ref.cell_lo, ref.cell_hi)
+        with pytest.raises(ValueError):
+            c.feed(0)
 
 
 class TestSimulateOne:
