@@ -8,6 +8,13 @@ powers of two; a word then maps to (number of bits, bit string, class index).
 Conditioned on the bit count, the bit string is exactly uniform, and the
 triple is injective, with a constructive inverse.
 
+Ranking is enumerative coding (Cover, 1973) and the power-of-two split is
+Elias's (1972).  Class sizes come from an exact inclusion-exclusion sum over
+marked pattern copies.  Its term vector is built once per word, and one
+left-to-right pass updates it as each symbol leaves the suffix, with a few
+big-by-small multiplies and exact divides per term and step.  Nothing is
+cached between calls, so memory is bounded by the longest word in flight.
+
 Pattern containment is *full* containment: an occurrence must fit entirely
 inside the word, including one ending at its last position.
 """
@@ -16,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import BitString, SymbolWord, check_word
 
@@ -94,115 +100,176 @@ def _check_counts(m: tuple[int, ...]) -> None:
         raise ValueError(f"bad count vector {m!r}")
 
 
-@lru_cache(maxsize=None)
-def _count_by_state(m: tuple[int, ...], state: int, t: int) -> int:
-    if not any(m):
-        return 1
-    total = 0
-    for c, cnt in enumerate(m, start=1):
-        if not cnt:
-            continue
-        nxt = _advance(state, c)
-        if nxt == t:
-            continue
-        total += _count_by_state(m[: c - 1] + (cnt - 1,) + m[c:], nxt, t)
-    return total
-
-
 def class_size(m: tuple[int, ...], cfg: PatternConfig) -> int:
     """Number of pattern-free words with count vector ``m``.
 
-    Memoized recursion over (remaining counts, automaton state); intended
-    for desk-scale counts.  Long words go through the closed-form route used
-    by rank/extract, which agrees with this one (cross-checked in tests).
+    Recursion over (remaining counts, automaton state) with a memo local to
+    the call; intended for desk-scale counts.  It shares nothing with the
+    inclusion-exclusion terms that rank/extract walk, so the two routes
+    cross-check each other (see ``verify_extractor`` and the tests).
     """
     _check_counts(m)
     if len(m) != cfg.alphabet_size:
         raise ValueError("count vector length does not match alphabet size")
-    return _count_by_state(tuple(m), 0, cfg.marker_len)
+    t = cfg.marker_len
+    memo: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def count(rest: tuple[int, ...], state: int) -> int:
+        if not any(rest):
+            return 1
+        key = (rest, state)
+        if key not in memo:
+            total = 0
+            for c, cnt in enumerate(rest, start=1):
+                nxt = _advance(state, c)
+                if cnt and nxt != t:
+                    total += count(rest[: c - 1] + (cnt - 1,) + rest[c:], nxt)
+            memo[key] = total
+        return memo[key]
+
+    return count(tuple(m), 0)
 
 
-_FACTORIALS = [1, 1]
+def _terms(m: tuple[int, ...], t: int) -> list[int]:
+    """Signed inclusion-exclusion terms ``(-1)^r T_r(m)`` for r = 0..R.
 
+    The pattern cannot overlap itself, so pattern-free words are counted
+    exactly by the alternating sum over r disjoint marked copies:
 
-def _fact(n: int) -> int:
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
+        T_r(m) = y_r! / (r! x_r! (m_2 - r)! m_3! ... m_a!),
 
-
-@lru_cache(maxsize=200_000)
-def _free_count(m: tuple[int, ...], t: int) -> int:
-    """Pattern-free word count by inclusion-exclusion over marked occurrences.
-
-    The pattern cannot overlap itself, so the alternating sum over r disjoint
-    marked copies is exact: the r-th term places r copies among the leftover
-    symbols (a binomial) and arranges the rest (a multinomial).  Their product
-    changes by a small-integer ratio from one r to the next, so each term is
-    one big-by-small multiply and divide.
+    with ``y_r = n - r(t-1)`` symbols once each copy shrinks to one slot and
+    ``x_r = m_1 - r(t-1)`` free ones.  ``R`` is the largest r with both
+    ``x_r`` and ``m_2 - r`` non-negative.  One term follows from the
+    previous by a small-integer ratio.
     """
-    n = sum(m)
+    step = t - 1
     ones, twos = m[0], m[1]
-    rmax = min(twos, ones // (t - 1)) if t > 1 else twos
-    term = _fact(n)
-    den_prod = 1
+    rmax = min(twos, ones // step) if step else twos
+    term = 1
+    n = 0
     for c in m:
-        den_prod *= _fact(c)
-    term //= den_prod
-    total = term
-    a_ones, b_twos, top = ones, twos, n
+        n += c
+        term *= math.comb(n, c)
+    terms = [term]
     for r in range(rmax):
-        num = b_twos
-        den = r + 1
-        for d in range(t - 1):
-            num *= a_ones - d
-            den *= top - d
-        term = term * num // den
-        total += -term if (r & 1) == 0 else term
-        a_ones -= t - 1
-        b_twos -= 1
-        top -= t - 1
-    return total
+        x, y = ones - r * step, n - r * step
+        term = -term * (twos - r) * math.perm(x, step) // ((r + 1) * math.perm(y, step))
+        terms.append(term)
+    return terms
 
 
-def _completions(m: tuple[int, ...], state: int, t: int) -> int:
-    """Pattern-free completions from a given automaton state.
+def _free_count(m: tuple[int, ...], t: int) -> int:
+    """Pattern-free word count: the alternating sum of ``_terms``."""
+    return sum(_terms(m, t))
 
-    A completion starting in state s >= 1 is excluded exactly when it begins
-    with t-s ones (finishing the pending occurrence); everything else reduces
-    to the unconditioned count.
+
+def _below(
+    terms: list[int], m: list[int], n: int, t: int, sym: int, pending: int
+) -> int:
+    """Pattern-free completions of the suffix that start below ``sym``.
+
+    ``terms`` are the signed terms of the suffix counts ``m`` (length ``n``).
+    Putting symbol c first turns ``T_r`` into ``T_r * x_c / y_r``, with x_c
+    its count in the r-th term (``x_r`` for c = 1), so every candidate
+    shares the divisor and each quotient is exact.  For c = 2 the
+    completions that finish a new pattern are the r+1 term in disguise, and
+    the two collapse to ``T_r * m_2 / y_r``.  For c = 1 the ``pending``
+    completions that finish a pattern already begun are left out.
     """
-    total = _free_count(m, t)
-    if state:
-        need = t - state
-        if m[0] >= need:
-            total -= _free_count((m[0] - need,) + m[1:], t)
+    step = t - 1 or 1  # t == 1 leaves only the term r = 0
+    base = sum(m[1 : sym - 1])
+    total = -pending
+    x, y = m[0], n
+    for u in terms:
+        total += u * (base + x) // y
+        x -= step
+        y -= step
     return total
+
+
+def _pending(terms: list[int], n: int, t: int) -> int:
+    """Completions that finish the pattern begun by the suffix's first 2.
+
+    They are the words after that 2 that start with t-1 ones, so they number
+    ``F(m - e_2 - (t-1) e_1)`` for suffix counts ``m``.  Its r-th term is
+    the r+1 term of ``m`` times ``(r+1) / y_{r+1}``, so the count is
+    ``-sum(r * terms[r] / y_r)``.  A run of ones after the 2 takes ones from
+    the suffix and from the pattern alike, so the count holds until the run
+    ends.
+    """
+    total = 0
+    for r in range(1, len(terms)):
+        total -= terms[r] * r // (n - r * (t - 1))
+    return total
+
+
+def _drop(terms: list[int], m: list[int], n: int, t: int, sym: int) -> list[int]:
+    """Terms of the suffix without its first symbol ``sym``; updates ``m``.
+
+    ``T_r`` becomes ``T_r * x / y_r``, with x the count of ``sym`` in the
+    r-th term.  Only the last term can reach zero, and then it is dropped.
+    """
+    step = t - 1 or 1
+    shrink = step if sym == 1 else 1 if sym == 2 else 0
+    x, y = m[sym - 1], n
+    m[sym - 1] -= 1
+    out = []
+    for u in terms:
+        u = u * x // y
+        if not u:
+            break
+        out.append(u)
+        x -= shrink
+        y -= step
+    return out
+
+
+def _walk(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
+    """Rank, class size and count vector of a validated word.
+
+    One left-to-right pass over the terms of the suffix counts: each symbol
+    adds the completions that start below it, then leaves the suffix.
+    Raises ValueError when the word contains the pattern.
+    """
+    t = cfg.marker_len
+    m = [word.count(c) for c in range(1, cfg.alphabet_size + 1)]
+    counts = tuple(m)
+    if t == 1 and m[1]:
+        raise ValueError("word contains the marker pattern")
+    terms = _terms(counts, t)
+    size = sum(terms)
+    rank = 1
+    state = pending = 0
+    for n, sym in zip(range(len(word), 0, -1), word):
+        if len(terms) > 1:
+            if sym > 1:
+                rank += _below(terms, m, n, t, sym, pending if state else 0)
+            if sym == 2:
+                pending = _pending(terms, n, t)
+            terms = _drop(terms, m, n, t, sym)
+        else:
+            # Only r = 0 is left: the suffix has no room for a whole pattern,
+            # so the same updates run on one multinomial, and a 2 here begins
+            # no pattern that can be finished.  Most steps of short words
+            # take this path.
+            (u,) = terms
+            if sym > 1:
+                rank += u * sum(m[: sym - 1]) // n - (pending if state else 0)
+            if sym == 2:
+                pending = 0
+            terms = [u * m[sym - 1] // n]
+            m[sym - 1] -= 1
+        state = _advance(state, sym)
+        if state == t:
+            raise ValueError("word contains the marker pattern")
+    return rank, size, counts
 
 
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
     """1-based lexicographic rank of ``word`` among pattern-free words with
     the same count vector."""
-    word = check_word(word, cfg.alphabet_size)
-    t = cfg.marker_len
-    counts = list(count_vector(word, cfg.alphabet_size))
-    state = 0
-    rank = 1
-    for sym in word:
-        for c in range(1, sym):
-            if not counts[c - 1]:
-                continue
-            nxt = _advance(state, c)
-            if nxt == t:
-                continue
-            counts[c - 1] -= 1
-            rank += _completions(tuple(counts), nxt, t)
-            counts[c - 1] += 1
-        state = _advance(state, sym)
-        if state == t:
-            raise ValueError("word contains the marker pattern")
-        counts[sym - 1] -= 1
-    return rank
+    return _walk(check_word(word, cfg.alphabet_size), cfg)[0]
 
 
 def unrank_in_class(
@@ -213,30 +280,29 @@ def unrank_in_class(
     if len(m) != cfg.alphabet_size:
         raise ValueError("count vector length does not match alphabet size")
     t = cfg.marker_len
-    total = _completions(tuple(m), 0, t)
+    terms = _terms(tuple(m), t)
+    total = sum(terms)
     if not 1 <= rank <= total:
         raise ValueError(f"rank {rank} outside 1..{total}")
     counts = list(m)
-    state = 0
+    state = pending = 0
     word: list[int] = []
     remaining = rank
-    for _ in range(sum(m)):
+    for n in range(sum(m), 0, -1):
+        below = 0
         for c in range(1, cfg.alphabet_size + 1):
-            if not counts[c - 1]:
-                continue
-            nxt = _advance(state, c)
-            if nxt == t:
-                continue
-            counts[c - 1] -= 1
-            below = _completions(tuple(counts), nxt, t)
-            if remaining <= below:
-                word.append(c)
-                state = nxt
+            upto = _below(terms, counts, n, t, c + 1, pending if state else 0)
+            if remaining <= upto:
                 break
-            remaining -= below
-            counts[c - 1] += 1
+            below = upto
         else:  # pragma: no cover - rank was validated above
             raise AssertionError("unrank walk exhausted the alphabet")
+        remaining -= below
+        word.append(c)
+        if c == 2:
+            pending = _pending(terms, n, t)
+        terms = _drop(terms, counts, n, t, c)
+        state = _advance(state, c)
     return tuple(word)
 
 
@@ -292,13 +358,9 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     of size 2^e the word's offset from the block's top rank is written out as
     e bits (most significant first).
     """
-    word = check_word(word, cfg.alphabet_size)
-    if not is_pattern_free(word, cfg):
-        raise ValueError("word contains the marker pattern")
-    m = count_vector(word, cfg.alphabet_size)
-    rank = rank_in_class(word, cfg)
+    rank, size, m = _walk(check_word(word, cfg.alphabet_size), cfg)
     partial = 0
-    for e in _powers_desc(_completions(m, 0, cfg.marker_len)):
+    for e in _powers_desc(size):
         partial += 1 << e
         if partial >= rank:
             offset = partial - rank
@@ -314,7 +376,7 @@ def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:
     """
     m = class_from_index(n, cfg.alphabet_size, triple.class_id)
     partial = 0
-    for e in _powers_desc(_completions(m, 0, cfg.marker_len)):
+    for e in _powers_desc(_free_count(m, cfg.marker_len)):
         partial += 1 << e
         if e == triple.num_bits:
             offset = 0

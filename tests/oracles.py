@@ -7,7 +7,10 @@ prefixes, and the block schedule is a literal dict-based transcription of the
 step rules with the success check re-run from scratch on every read.
 ``FractionCursor`` is the simulator cursor as first written, in ``Fraction``
 arithmetic over absolute cell bounds; the package's integer cursor is checked
-against it.
+against it.  ``naive_rank_in_class``/``naive_unrank_in_class`` are the
+within-class ranker as first written: every candidate symbol recounts its
+completions from a cached factorial table, where the package walks the
+inclusion-exclusion terms once.
 """
 
 from __future__ import annotations
@@ -15,10 +18,17 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
-from finitary.core import ProbabilityVector, cumulative
+from finitary.core import ProbabilityVector, SymbolWord, check_word, cumulative
 from finitary.engine import BlockRecord
-from finitary.extractor import PatternConfig, extract
+from finitary.extractor import (
+    PatternConfig,
+    _advance,
+    _check_counts,
+    count_vector,
+    extract,
+)
 
 
 def contains_marker(word, t) -> bool:
@@ -259,3 +269,121 @@ def naive_map(stream, a, t, q):
         for offset, symbol in enumerate(word, start=1):
             outputs[left + offset] = symbol
     return outputs
+
+
+_FACTORIALS = [1, 1]
+
+
+def _fact(n: int) -> int:
+    while len(_FACTORIALS) <= n:
+        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
+    return _FACTORIALS[n]
+
+
+@lru_cache(maxsize=200_000)
+def _free_count(m: tuple[int, ...], t: int) -> int:
+    """Pattern-free word count by inclusion-exclusion over marked occurrences.
+
+    The pattern cannot overlap itself, so the alternating sum over r disjoint
+    marked copies is exact: the r-th term places r copies among the leftover
+    symbols (a binomial) and arranges the rest (a multinomial).  Their product
+    changes by a small-integer ratio from one r to the next, so each term is
+    one big-by-small multiply and divide.
+    """
+    n = sum(m)
+    ones, twos = m[0], m[1]
+    rmax = min(twos, ones // (t - 1)) if t > 1 else twos
+    term = _fact(n)
+    den_prod = 1
+    for c in m:
+        den_prod *= _fact(c)
+    term //= den_prod
+    total = term
+    a_ones, b_twos, top = ones, twos, n
+    for r in range(rmax):
+        num = b_twos
+        den = r + 1
+        for d in range(t - 1):
+            num *= a_ones - d
+            den *= top - d
+        term = term * num // den
+        total += -term if (r & 1) == 0 else term
+        a_ones -= t - 1
+        b_twos -= 1
+        top -= t - 1
+    return total
+
+
+def _completions(m: tuple[int, ...], state: int, t: int) -> int:
+    """Pattern-free completions from a given automaton state.
+
+    A completion starting in state s >= 1 is excluded exactly when it begins
+    with t-s ones (finishing the pending occurrence); everything else reduces
+    to the unconditioned count.
+    """
+    total = _free_count(m, t)
+    if state:
+        need = t - state
+        if m[0] >= need:
+            total -= _free_count((m[0] - need,) + m[1:], t)
+    return total
+
+
+def naive_rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
+    """1-based lexicographic rank of ``word`` among pattern-free words with
+    the same count vector."""
+    word = check_word(word, cfg.alphabet_size)
+    t = cfg.marker_len
+    counts = list(count_vector(word, cfg.alphabet_size))
+    state = 0
+    rank = 1
+    for sym in word:
+        for c in range(1, sym):
+            if not counts[c - 1]:
+                continue
+            nxt = _advance(state, c)
+            if nxt == t:
+                continue
+            counts[c - 1] -= 1
+            rank += _completions(tuple(counts), nxt, t)
+            counts[c - 1] += 1
+        state = _advance(state, sym)
+        if state == t:
+            raise ValueError("word contains the marker pattern")
+        counts[sym - 1] -= 1
+    return rank
+
+
+def naive_unrank_in_class(
+    m: tuple[int, ...], cfg: PatternConfig, rank: int
+) -> SymbolWord:
+    """Inverse of naive_rank_in_class on the class with count vector ``m``."""
+    _check_counts(m)
+    if len(m) != cfg.alphabet_size:
+        raise ValueError("count vector length does not match alphabet size")
+    t = cfg.marker_len
+    total = _completions(tuple(m), 0, t)
+    if not 1 <= rank <= total:
+        raise ValueError(f"rank {rank} outside 1..{total}")
+    counts = list(m)
+    state = 0
+    word: list[int] = []
+    remaining = rank
+    for _ in range(sum(m)):
+        for c in range(1, cfg.alphabet_size + 1):
+            if not counts[c - 1]:
+                continue
+            nxt = _advance(state, c)
+            if nxt == t:
+                continue
+            counts[c - 1] -= 1
+            below = _completions(tuple(counts), nxt, t)
+            if remaining <= below:
+                word.append(c)
+                state = nxt
+                break
+            remaining -= below
+            counts[c - 1] += 1
+        else:  # pragma: no cover - rank was validated above
+            raise AssertionError("unrank walk exhausted the alphabet")
+    return tuple(word)

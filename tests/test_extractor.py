@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,12 @@ from finitary.extractor import (
     unrank_in_class,
 )
 
-from oracles import brute_pattern_free, contains_marker
+from oracles import (
+    brute_pattern_free,
+    contains_marker,
+    naive_rank_in_class,
+    naive_unrank_in_class,
+)
 
 F = Fraction
 CFG23 = PatternConfig(2, 3)
@@ -216,6 +223,56 @@ class TestExtract:
                     assert sorted(outs) == sorted(
                         itertools.product((0, 1), repeat=k)
                     )
+
+
+def _random_free_word(rng, a, t, n):
+    """A pattern-free word of length ``n`` from a random, often skewed, law."""
+    weights = [rng.random() ** 2 + 0.05 for _ in range(a)]
+    word, state = [], 0
+    while len(word) < n:
+        (sym,) = rng.choices(range(1, a + 1), weights)
+        nxt = 1 if sym == 2 else state + 1 if sym == 1 and state else 0
+        if nxt != t:
+            word.append(sym)
+            state = nxt
+    return tuple(word)
+
+
+class TestAgainstNaiveRanker:
+    """The one-pass ranker against the per-candidate recount it replaced."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 6, 8])
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_rank_unrank_and_roundtrip(self, a, t):
+        cfg = PatternConfig(a, t)
+        rng = random.Random(1000 * a + t)
+        for n in (0, 1, t, t + 1, 2 * t + 3, 40, 150, 400):
+            w = _random_free_word(rng, a, t, n)
+            m = count_vector(w, a)
+            rank = rank_in_class(w, cfg)
+            assert rank == naive_rank_in_class(w, cfg)
+            assert unrank_in_class(m, cfg, rank) == w
+            assert naive_unrank_in_class(m, cfg, rank) == w
+            assert invert(n, cfg, extract(w, cfg)) == w
+
+
+def test_extract_keeps_no_table_between_calls():
+    # A table that grows with block length (factorials, cached counts) would
+    # stay behind after a long word.  One-pass ranking keeps nothing between
+    # calls, so neither call leaves net memory beyond small slack.
+    cfg = PatternConfig(3, 8)
+    word = _random_free_word(random.Random(8), 3, 8, 1500)
+    assert extract(word[:20], cfg).class_id > 0  # first-use allocations
+    tracemalloc.start()
+    try:
+        retained = []
+        for _ in range(2):
+            assert extract(word, cfg).num_bits > 1000
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert retained[0] < 16384
+    assert retained[1] - retained[0] < 1024
 
 
 def test_four_symbol_alphabet_roundtrip():
