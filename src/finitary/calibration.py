@@ -92,10 +92,7 @@ def sample_blocks(
             )
     markers = markers[: count + 1]
     lams = np.diff(markers).astype(int)
-    words = [
-        tuple(int(s) for s in buf[markers[i] + t : markers[i + 1]])
-        for i in range(count)
-    ]
+    words = [tuple(buf[markers[i] + t : markers[i + 1]].tolist()) for i in range(count)]
     return lams, words
 
 

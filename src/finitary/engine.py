@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import ProbabilityVector, SymbolWord, check_word
 from .dyadic import DyadicCursor
-from .extractor import PatternConfig, extract
+# Callers validate the whole stream once, so block words skip the check.
+from .extractor import PatternConfig, _extract as extract
 
 DEFAULT_MAX_WINDOW = 10**6
 
@@ -91,15 +92,18 @@ def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
 def segment_blocks(segment: Sequence[int], cfg: PatternConfig) -> list[BlockRecord]:
     """Blocks between consecutive markers, with words and extracted bits.
 
-    Fewer than two markers yield no complete block.
+    Fewer than two markers yield no complete block.  Raises ValueError on a
+    symbol outside the alphabet anywhere in the segment.
     """
+    segment = check_word(segment, cfg.alphabet_size)
     markers = scan_markers(segment, cfg)
     return blocks_from_markers(segment, markers, cfg)
 
 
 def blocks_from_markers(
-    segment: Sequence[int], markers: Sequence[int], cfg: PatternConfig
+    segment: SymbolWord, markers: Sequence[int], cfg: PatternConfig
 ) -> list[BlockRecord]:
+    """Blocks of a segment that ``check_word`` has already validated."""
     blocks = []
     for k in range(len(markers) - 1):
         left, right = markers[k], markers[k + 1]

@@ -11,9 +11,14 @@ triple is injective, with a constructive inverse.
 Ranking is enumerative coding (Cover, 1973) and the power-of-two split is
 Elias's (1972).  Class sizes come from an exact inclusion-exclusion sum over
 marked pattern copies.  Its term vector is built once per word, and one
-left-to-right pass updates it as each symbol leaves the suffix, with a few
-big-by-small multiplies and exact divides per term and step.  Nothing is
-cached between calls, so memory is bounded by the longest word in flight.
+left-to-right pass updates it as each symbol leaves the suffix: every symbol
+multiplies each term by a small exact ratio and adds a small multiple of it
+to the rank.  While the terms are long (more than 512 bits), the pass takes
+the symbols 32 at a time, gathers each term's ratios over the window in
+small exact integers, as binary splitting does for a rational series
+(Haible & Papanikolaou, 1998), and then makes two big exact divisions per
+term and window.  Shorter terms are updated one symbol at a time.  Nothing
+is cached between calls, so memory is bounded by the longest word in flight.
 
 Pattern containment is *full* containment: an occurrence must fit entirely
 inside the word, including one ending at its last position.
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .core import BitString, SymbolWord, check_word
 
@@ -225,44 +232,116 @@ def _drop(terms: list[int], m: list[int], n: int, t: int, sym: int) -> list[int]
     return out
 
 
+# Terms of more bits than this take their symbols a window at a time.  Keep
+# it at least 1: the empty suffix leaves one term of 1, which ends the windows.
+_WIDE_BITS = 512
+_WINDOW = 32
+
+
+def _steps(word: SymbolWord, m: list[int], t: int) -> Iterator[tuple[int, ...]]:
+    """Yield ``(y, x, shrink, c, dc)`` as each symbol leaves the suffix.
+
+    ``m`` holds the suffix counts and is consumed with the word.  For the
+    r-th term the symbol adds ``T_r * (c - r*dc) / y_r`` to the rank (the
+    completions ``_below`` counts) and then leaves ``T_r * (x - r*shrink)
+    / y_r``, with ``y_r = y - r(t-1)``; every quotient is exact.
+
+    ``_below`` takes the ``_pending`` count of a 2 off at the symbol that
+    ends the 2's run of ones.  Its r-th part is ``T_r * r / y_r`` at the 2,
+    so the 2 adds it up front instead, through a ``dc`` one less.  A last
+    2 whose run reaches the end of the word is never ended, but then the
+    suffix at the 2 holds fewer than t-1 ones, no term beyond r = 0 is left
+    and the part is zero.  Raises ValueError at the symbol that completes
+    the pattern.
+    """
+    step = t - 1
+    n = len(word)
+    state = 0
+    for i, sym in enumerate(word):
+        if sym == 1:
+            if state:
+                state += 1
+                if state == t:
+                    raise ValueError("word contains the marker pattern")
+            yield n - i, m[0], step, 0, 0
+        elif sym == 2:
+            state = 1
+            yield n - i, m[1], 1, m[0], step - 1
+        else:
+            state = 0
+            yield n - i, m[sym - 1], 0, sum(m[: sym - 1]), step
+        m[sym - 1] -= 1
+
+
+def _exact(num: int, den: int) -> int:
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("inexact division in the rank walk")
+    return quotient
+
+
+def _window(
+    terms: list[int], window: list[tuple[int, ...]], step: int
+) -> tuple[int, list[int]]:
+    """Rank added by a window of ``_steps``, and the terms after it.
+
+    Term r gathers the window in small exact integers, ``P <- P*x``,
+    ``Q <- Q*y`` and ``S <- S*y + P*c``, so that it adds ``T_r * S / Q`` to
+    the rank and becomes ``T_r * P / Q``: two big divisions per term and
+    window instead of two per symbol.  A term that reaches zero stops
+    there, before a later ``y`` of its own can reach zero too.
+    """
+    added = 0
+    out = []
+    for r, u in enumerate(terms):
+        p, q, s = 1, 1, 0
+        for y, x, shrink, c, dc in window:
+            y -= r * step
+            s = s * y + p * (c - r * dc)
+            q *= y
+            p *= x - r * shrink
+            if not p:
+                break
+        added += _exact(u * s, q)
+        if p:
+            out.append(_exact(u * p, q))
+    return added, out
+
+
 def _walk(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
     """Rank, class size and count vector of a validated word.
 
     One left-to-right pass over the terms of the suffix counts: each symbol
-    adds the completions that start below it, then leaves the suffix.
-    Raises ValueError when the word contains the pattern.
+    adds the completions that start below it, then leaves the suffix.  While
+    the terms have more than ``_WIDE_BITS`` bits, the symbols go
+    ``_WINDOW`` at a time through ``_window``; after that, one at a time.
+    Only the last term can reach zero, and then it is dropped.  Raises
+    ValueError when the word contains the pattern.
     """
     t = cfg.marker_len
+    step = t - 1
     m = [word.count(c) for c in range(1, cfg.alphabet_size + 1)]
     counts = tuple(m)
     if t == 1 and m[1]:
         raise ValueError("word contains the marker pattern")
     terms = _terms(counts, t)
     size = sum(terms)
+    steps = _steps(word, m, t)
     rank = 1
-    state = pending = 0
-    for n, sym in zip(range(len(word), 0, -1), word):
-        if len(terms) > 1:
-            if sym > 1:
-                rank += _below(terms, m, n, t, sym, pending if state else 0)
-            if sym == 2:
-                pending = _pending(terms, n, t)
-            terms = _drop(terms, m, n, t, sym)
-        else:
-            # Only r = 0 is left: the suffix has no room for a whole pattern,
-            # so the same updates run on one multinomial, and a 2 here begins
-            # no pattern that can be finished.  Most steps of short words
-            # take this path.
-            (u,) = terms
-            if sym > 1:
-                rank += u * sum(m[: sym - 1]) // n - (pending if state else 0)
-            if sym == 2:
-                pending = 0
-            terms = [u * m[sym - 1] // n]
-            m[sym - 1] -= 1
-        state = _advance(state, sym)
-        if state == t:
-            raise ValueError("word contains the marker pattern")
+    while terms[0].bit_length() > _WIDE_BITS:
+        added, terms = _window(terms, list(islice(steps, _WINDOW)), step)
+        rank += added
+    for y, x, shrink, c, dc in steps:
+        for r, u in enumerate(terms):
+            rank += u * c // y
+            u = u * x // y
+            if not u:
+                del terms[r:]
+                break
+            terms[r] = u
+            y -= step
+            x -= shrink
+            c -= dc
     return rank, size, counts
 
 
@@ -314,9 +393,10 @@ def class_index(m: tuple[int, ...]) -> int:
     rem = sum(m)
     idx = 1
     for i in range(a - 1):
-        parts = a - i - 1
-        for v in range(m[i]):
-            idx += math.comb(rem - v + parts - 1, parts - 1)
+        # The vectors that put v < m_i here number C(rem-v+k-1, k-1) each,
+        # k = a-i-1 parts on; the hockey-stick identity sums them at once.
+        k = a - i - 1
+        idx += math.comb(rem + k, k) - math.comb(rem - m[i] + k, k)
         rem -= m[i]
     return idx
 
@@ -358,7 +438,12 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     of size 2^e the word's offset from the block's top rank is written out as
     e bits (most significant first).
     """
-    rank, size, m = _walk(check_word(word, cfg.alphabet_size), cfg)
+    return _extract(check_word(word, cfg.alphabet_size), cfg)
+
+
+def _extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
+    """``extract`` for a word that ``check_word`` has already validated."""
+    rank, size, m = _walk(word, cfg)
     partial = 0
     for e in _powers_desc(size):
         partial += 1 << e

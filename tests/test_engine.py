@@ -276,6 +276,35 @@ class TestMapRange:
         with pytest.raises(ValueError):
             map_range([1, 3], PatternConfig(2, 2), FAIR, 0, 1)
 
+    @pytest.mark.parametrize("bad", [0, 4])
+    def test_invalid_symbol_inside_or_outside_blocks(self, bad):
+        # The whole stream is validated up front, so a bad symbol raises the
+        # same error inside a block word, before the first marker and after
+        # the last one.
+        stream = random_stream(9, 600, 3)
+        cfg = PatternConfig(3, 3)
+        marks = scan_markers(stream, cfg)
+        k = next(k for k in range(len(marks) - 1) if marks[k + 1] - marks[k] > 4)
+        assert marks[0] > 0 and marks[-1] + 3 < len(stream)
+        for pos in (marks[k] + 4, marks[0] - 1, len(stream) - 1):
+            bad_stream = stream[:pos] + [bad] + stream[pos + 1 :]
+            message = rf"^symbol {bad} at position {pos} outside 1\.\.3$"
+            with pytest.raises(ValueError, match=message):
+                map_range(bad_stream, cfg, FAIR, 0, len(stream) - 1)
+            with pytest.raises(ValueError, match=message):
+                segment_blocks(bad_stream, cfg)
+
+    def test_block_words_are_not_validated_again(self, monkeypatch):
+        import finitary.extractor
+
+        def no_check(*args):
+            raise AssertionError("block word validated twice")
+
+        monkeypatch.setattr(finitary.extractor, "check_word", no_check)
+        stream = random_stream(10, 2000, 3)
+        res = map_range(stream, PatternConfig(3, 3), FAIR, 0, len(stream) - 1)
+        assert res.outputs
+
 
 class TestWindowCap:
     # One block between two markers whose word yields too few bits for its

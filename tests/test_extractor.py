@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from finitary import extractor
 from finitary.extractor import (
     ExtractionTriple,
     PatternConfig,
+    _exact,
     _free_count,
+    _terms,
     class_from_index,
     class_index,
     class_size,
@@ -158,6 +161,15 @@ class TestClassIndex:
         with pytest.raises(ValueError):
             class_from_index(n, a, len(vectors) + 1)
 
+    @pytest.mark.parametrize("a", [2, 3, 5])
+    def test_long_vectors_roundtrip(self, a):
+        # The closed form against the unit-by-unit walk of class_from_index.
+        rng = random.Random(a)
+        for n in (1, 50, 3000):
+            cuts = sorted(rng.randint(0, n) for _ in range(a - 1))
+            m = tuple(b - c for c, b in zip([0, *cuts], [*cuts, n]))
+            assert class_from_index(n, a, class_index(m)) == m
+
 
 class TestExtract:
     def test_pinned_triples(self):
@@ -246,14 +258,105 @@ class TestAgainstNaiveRanker:
     def test_rank_unrank_and_roundtrip(self, a, t):
         cfg = PatternConfig(a, t)
         rng = random.Random(1000 * a + t)
-        for n in (0, 1, t, t + 1, 2 * t + 3, 40, 150, 400):
+        for n in (0, 1, t, t + 1, 2 * t + 3, 40, 150, 400, 800):
             w = _random_free_word(rng, a, t, n)
             m = count_vector(w, a)
+            if n == 800 and t >= 3:
+                # Long enough that the walk starts in windows of symbols.
+                assert _terms(m, t)[0].bit_length() > extractor._WIDE_BITS
             rank = rank_in_class(w, cfg)
             assert rank == naive_rank_in_class(w, cfg)
             assert unrank_in_class(m, cfg, rank) == w
             assert naive_unrank_in_class(m, cfg, rank) == w
             assert invert(n, cfg, extract(w, cfg)) == w
+
+
+def _splice(word, at, piece):
+    return word[:at] + tuple(piece) + word[at + len(piece) :]
+
+
+class TestWindowedWalk:
+    """Walking a window of symbols per exact division, at its boundaries."""
+
+    def test_runs_of_ones_across_window_boundaries(self):
+        # Windows start every _WINDOW symbols while the terms are long.  A 2
+        # whose run of ones ends in the next window takes its correction in
+        # the earlier one; so do a 2 that closes a window and a run that
+        # starts a window.
+        cfg = PatternConfig(3, 6)
+        base = _random_free_word(random.Random(6), 3, 6, 700)
+        size = extractor._WINDOW
+        cases = [
+            (size - 2, (2, 1, 1, 3)),
+            (2 * size - 1, (2, 2, 1, 2)),
+            (3 * size - 1, (2, 1, 1, 1, 1, 3)),
+            (4 * size - 3, (3, 2, 1, 1, 1)),
+        ]
+        for at, piece in cases:
+            w = _splice(base, at, piece)
+            # The window after the boundary still starts with wide terms.
+            suffix = count_vector(w[(at // size + 1) * size :], 3)
+            assert _terms(suffix, 6)[0].bit_length() > extractor._WIDE_BITS
+            assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg)
+
+    def test_run_of_ones_ends_the_word(self):
+        # A last 2 whose run of ones reaches the end of the word is never
+        # ended inside it.  The correction the walk adds at every 2 must come
+        # to zero there.
+        cfg = PatternConfig(3, 4)
+        base = _random_free_word(random.Random(4), 3, 4, 600)
+        for tail in [(2,), (2, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1), (2, 3, 1, 1)]:
+            w = base[: -len(tail)] + tail
+            assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 32])
+    @pytest.mark.parametrize("a,t", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_every_window_length_on_every_small_word(self, monkeypatch, a, t, width):
+        # With every term wide, every boundary case lands in some window:
+        # terms dying mid-window, runs crossing boundaries, a final 2.
+        monkeypatch.setattr(extractor, "_WIDE_BITS", 1)
+        monkeypatch.setattr(extractor, "_WINDOW", width)
+        cfg = PatternConfig(a, t)
+        for n in range(7 if a < 4 else 6):
+            by_class = {}
+            for w in brute_pattern_free(a, t, n):
+                by_class.setdefault(count_vector(w, a), []).append(w)
+            for words in by_class.values():
+                for expected_rank, w in enumerate(sorted(words), start=1):
+                    assert rank_in_class(w, cfg) == expected_rank
+
+    @pytest.mark.parametrize("width", [3, 7, 32])
+    def test_long_words_in_short_windows(self, monkeypatch, width):
+        monkeypatch.setattr(extractor, "_WIDE_BITS", 1)
+        monkeypatch.setattr(extractor, "_WINDOW", width)
+        rng = random.Random(width)
+        for a, t in [(2, 2), (3, 3), (3, 6), (4, 8)]:
+            cfg = PatternConfig(a, t)
+            for n in (40, 150):
+                w = _random_free_word(rng, a, t, n)
+                assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg)
+
+    def test_dead_term_whose_divisor_reaches_zero(self, monkeypatch):
+        # In 1^k 2^k (t=2) the term r=k dies at the first 1, and its divisor
+        # n - r reaches zero k symbols later, inside the same window.  The
+        # dead term must stop gathering before that divisor.
+        monkeypatch.setattr(extractor, "_WIDE_BITS", 1)
+        cfg = PatternConfig(2, 2)
+        for k in range(1, 12):
+            w = (1,) * k + (2,) * k
+            assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg) == 1
+
+    def test_inexact_division_raises(self):
+        assert _exact(12, 4) == 3
+        with pytest.raises(ArithmeticError):
+            _exact(13, 4)
+
+    def test_roundtrip_long_word(self):
+        # unrank_in_class still walks one symbol at a time, so it is an
+        # independent route back from the windowed rank.
+        cfg = PatternConfig(3, 8)
+        w = _random_free_word(random.Random(3000), 3, 8, 3000)
+        assert invert(len(w), cfg, extract(w, cfg)) == w
 
 
 def test_extract_keeps_no_table_between_calls():
