@@ -3,8 +3,9 @@
 The package has five layers: exact-rational primitives (:mod:`core`), the
 bit-fed symbol simulator and its exact analyzers (:mod:`dyadic`), unbiased-bit
 extraction from pattern-free words (:mod:`extractor`), the marker/block
-lockstep transform (:mod:`engine`), and statistical/exact verification
-harnesses (:mod:`calibration`).  :mod:`cli` binds everything to text streams.
+transform and its stack-sweep schedule (:mod:`engine`), and statistical/exact
+verification harnesses (:mod:`calibration`).  :mod:`cli` binds everything to
+text streams.
 """
 
 from .core import (
@@ -14,13 +15,11 @@ from .core import (
     cumulative,
     entropy,
     parse_rational,
-    validate_distribution,
 )
 from .dyadic import (
     DyadicCursor,
     InsufficientBitsError,
     TailReport,
-    exact_mean_T,
     exact_symbol_law,
     exact_tail,
     simulate_one,
@@ -39,17 +38,18 @@ from .extractor import (
     unrank_in_class,
 )
 from .engine import (
+    BlockOutput,
     BlockRecord,
     CodingReport,
     MapResult,
     ScheduleResult,
     UndeterminedIndex,
     WindowExhausted,
+    blocks_from_markers,
     certified_radius,
     map_range,
     run_schedule,
     scan_markers,
-    segment_blocks,
 )
 from .calibration import (
     CertificationReport,

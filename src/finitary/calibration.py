@@ -22,12 +22,13 @@ from scipy import special
 from .core import ProbabilityVector, cumulative, entropy
 from .dyadic import _has_dyadic_interior
 from .engine import scan_markers
+# Sampled and enumerated words are plain in-range ints, so they skip the check.
 from .extractor import (
     PatternConfig,
+    _extract as extract,
     class_from_index,
     class_size,
     count_vector,
-    extract,
     invert,
 )
 

@@ -223,11 +223,13 @@ def _cmd_encode(args, stdin, stdout) -> int:
         len(symbols) - 1,
         max_window=config.max_window,
     )
-    for i in sorted(result.outputs):
-        if args.report:
-            stdout.write(f"{i}\t{result.outputs[i]}\t{result.reports[i].radius}\n")
-        else:
-            stdout.write(f"{result.outputs[i]}\n")
+    lines = []
+    for blk in result.blocks:
+        left, right = blk.left_marker, blk.right_extent
+        for i, s in zip(blk.indices, blk.symbols):
+            row = f"{i}\t{s}\t{max(i - left, right - i)}\n" if args.report else f"{s}\n"
+            lines.append(row)
+    stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 SymbolWord = tuple[int, ...]
 BitString = tuple[int, ...]
@@ -87,10 +89,13 @@ class ProbabilityVector:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.entries)
 
-
-def validate_distribution(entries: Iterable[Fraction]) -> ProbabilityVector:
-    """Build a ProbabilityVector, rejecting non-positive entries and sums != 1."""
-    return ProbabilityVector(tuple(entries))
+    @cached_property
+    def scaled_cumulative(self) -> tuple[tuple[int, ...], int]:
+        """``(C, Q)``: the cumulative sums are ``C[j]/Q`` with ``Q`` the
+        common denominator of the entries; computed once per vector."""
+        den = math.lcm(*(v.denominator for v in self.entries))
+        scaled = (v.numerator * (den // v.denominator) for v in self.entries)
+        return tuple(accumulate(scaled, initial=0)), den
 
 
 def entropy(p: ProbabilityVector) -> float:

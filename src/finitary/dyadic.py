@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .core import ProbabilityVector, cumulative
@@ -78,12 +78,7 @@ class DyadicCursor:
         self.horizon = horizon
         self.bits_consumed = 0
         self.emitted: list[int] = []
-        den = lcm(*(v.denominator for v in target.entries))
-        cum = [0]
-        for v in target.entries:
-            cum.append(cum[-1] + v.numerator * (den // v.denominator))
-        self._cum = cum  # C_0..C_b
-        self._den = den  # Q
+        self._cum, self._den = target.scaled_cumulative  # C_0..C_b and Q
         self._left = 0  # L
         self._width = 1  # W
         self._scale = 1  # D
@@ -254,14 +249,6 @@ def exact_tail(q: ProbabilityVector, kmax: int) -> TailReport:
         loose_bound_ok=loose,
         dyadic_interior=_has_dyadic_interior(cum),
     )
-
-
-def exact_mean_T(q: ProbabilityVector, depth: int) -> tuple[Fraction, Fraction]:
-    """Rigorous two-sided enclosure of the expected stopping time."""
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    report = exact_tail(q, depth)
-    return report.mean_lo, report.mean_hi
 
 
 def exact_symbol_law(

@@ -13,14 +13,21 @@ Lockstep simulators keep their offsets, so the rule is a stack, and the
 schedule runs as one left-to-right sweep over the bit positions: the latest
 started simulator that is still running reads each position.
 
+Every output index of a block shares the block's left marker, right extent
+and simulated word, so ``map_range`` keeps one record per block; its
+per-index outputs and reports are views built on first access.
+
 The transform never sees the law that generated the input, only the stream
 itself, so identical streams give identical outputs no matter their origin.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import ge
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,10 +75,6 @@ class BlockRecord:
         return self.right_marker - self.left_marker
 
     @property
-    def word_length(self) -> int:
-        return len(self.word)
-
-    @property
     def bit_count(self) -> int:
         return len(self.bits)
 
@@ -89,35 +92,14 @@ def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
     return cand[ones[cand + t] - ones[cand + 1] == t - 1].tolist()
 
 
-def segment_blocks(segment: Sequence[int], cfg: PatternConfig) -> list[BlockRecord]:
-    """Blocks between consecutive markers, with words and extracted bits.
-
-    Fewer than two markers yield no complete block.  Raises ValueError on a
-    symbol outside the alphabet anywhere in the segment.
-    """
-    segment = check_word(segment, cfg.alphabet_size)
-    markers = scan_markers(segment, cfg)
-    return blocks_from_markers(segment, markers, cfg)
-
-
 def blocks_from_markers(
     segment: SymbolWord, markers: Sequence[int], cfg: PatternConfig
 ) -> list[BlockRecord]:
     """Blocks of a segment that ``check_word`` has already validated."""
     blocks = []
-    for k in range(len(markers) - 1):
-        left, right = markers[k], markers[k + 1]
+    for k, (left, right) in enumerate(zip(markers, markers[1:])):
         word = tuple(segment[left + cfg.marker_len : right])
-        triple = extract(word, cfg)
-        blocks.append(
-            BlockRecord(
-                index=k,
-                left_marker=left,
-                right_marker=right,
-                word=word,
-                bits=triple.bits,
-            )
-        )
+        blocks.append(BlockRecord(k, left, right, word, extract(word, cfg).bits))
     return blocks
 
 
@@ -126,19 +108,31 @@ class ScheduleResult:
     """Outcome of a schedule run.
 
     ``results[k]`` is block k's output word once its simulator succeeded;
-    ``consumed[k]`` the (block, bit) positions it read, in order;
-    ``read_bits[k]`` the corresponding bits; ``reach[k]`` the rightmost block
-    index it read from.  Simulators that ran off the window's right edge
-    appear in ``exited`` and have no result.
+    ``reach[k]`` the rightmost block index it read from.  Simulators that ran
+    off the window's right edge appear in ``exited`` and have no result.
+    ``reads[k]`` lists the flat bit positions simulator k read, in order;
+    ``consumed[k]`` (as (block, bit) pairs, bit 1-based) and ``read_bits[k]``
+    are views of it, built on first access.
     """
 
+    blocks: Sequence[BlockRecord]
     results: dict[int, SymbolWord]
-    consumed: dict[int, tuple[tuple[int, int], ...]]
-    read_bits: dict[int, tuple[int, ...]]
+    reads: dict[int, list[int]]
     reach: dict[int, int]
     exited: frozenset[int]
     steps: int
     invariant_checks: int
+
+    @cached_property
+    def consumed(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        blocks = enumerate(self.blocks)
+        at = [(j, b) for j, blk in blocks for b in range(1, blk.bit_count + 1)]
+        return {k: tuple(at[p] for p in ps) for k, ps in self.reads.items()}
+
+    @cached_property
+    def read_bits(self) -> dict[int, tuple[int, ...]]:
+        bits = [b for blk in self.blocks for b in blk.bits]
+        return {k: tuple(bits[p] for p in ps) for k, ps in self.reads.items()}
 
 
 def run_schedule(
@@ -174,25 +168,15 @@ def run_schedule(
     if targets[0] < 0 or targets[-1] >= nblocks:
         raise ValueError(f"targets outside window blocks 0..{nblocks - 1}")
 
-    flat_bits: list[int] = []
-    owner: list[int] = []
-    first_flat = [0] * (nblocks + 1)
-    for j, blk in enumerate(blocks):
-        first_flat[j] = len(flat_bits)
-        flat_bits.extend(blk.bits)
-        owner.extend([j] * blk.bit_count)
-    total = len(flat_bits)
-    first_flat[nblocks] = total
+    first_flat = [0, *accumulate(blk.bit_count for blk in blocks)]
+    flat_bits = [b for blk in blocks for b in blk.bits]
+    total = first_flat[nblocks]
     flat_used = bytearray(total)
 
     sims = range(targets[0], nblocks)
-    taken: dict[int, list[int]] = {k: [] for k in sims}
+    reads: dict[int, list[int]] = {k: [] for k in sims}
     results: dict[int, SymbolWord] = {}
     done: dict[int, int] = {}  # simulator -> position of its successful read
-
-    def position(p: int) -> tuple[int, int]:
-        j = owner[p]
-        return (j, p - first_flat[j] + 1)
 
     def finish(k: int) -> int:
         # The lockstep step at which target k stops running.
@@ -202,22 +186,17 @@ def run_schedule(
     steps = None if pending else 0
     stack: list[tuple[int, DyadicCursor]] = []
     nxt = targets[0]
-    checks = 0
     for p in range(first_flat[nxt], total):
         while nxt < nblocks and first_flat[nxt] == p:
             stack.append((nxt, DyadicCursor(q, blocks[nxt].length)))
             nxt += 1
         if stack and (steps is None or p < first_flat[stack[-1][0]] + steps):
             k, cursor = stack[-1]
-            checks += 1
             if flat_used[p]:
-                raise InvariantViolation(
-                    f"position {position(p)} consumed twice (simulator {k})"
-                )
+                raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
             flat_used[p] = 1
-            taken[k].append(p)
-            cursor.feed(flat_bits[p])
-            if cursor.successful:
+            reads[k].append(p)
+            if cursor.feed(flat_bits[p]) and cursor.successful:
                 stack.pop()
                 results[k] = tuple(cursor.emitted)
                 done[k] = p
@@ -227,19 +206,21 @@ def run_schedule(
     if steps is None:
         steps = max(map(finish, targets))
 
+    checks = sum(map(len, reads.values()))
     for k in sims:
+        taken = reads[k]
+        checks += 1
+        if any(map(ge, taken, taken[1:])):
+            raise InvariantViolation(f"simulator {k} read out of order")
         limit = first_flat[k] + steps
-        taken[k] = [p for p in taken[k] if p < limit]
+        del taken[bisect_left(taken, limit) :]
         if k in done and done[k] >= limit:
             del done[k], results[k]
-        checks += 1
-        if any(a >= b for a, b in zip(taken[k], taken[k][1:])):
-            raise InvariantViolation(f"simulator {k} read out of order")
     return ScheduleResult(
+        blocks=blocks,
         results=results,
-        consumed={k: tuple(map(position, taken[k])) for k in sims},
-        read_bits={k: tuple(flat_bits[p] for p in taken[k]) for k in sims},
-        reach={k: owner[p] for k, p in done.items()},
+        reads=reads,
+        reach={k: bisect_right(first_flat, p) - 1 for k, p in done.items()},
         exited=frozenset(
             k for k in sims if k not in done and first_flat[k] + steps >= total
         ),
@@ -263,10 +244,40 @@ class CodingReport:
 
 
 @dataclass(frozen=True)
+class BlockOutput:
+    """The determined outputs of one block: ``symbols[j]`` is the output at
+    index ``indices[j]``.  Each of those indices has ``left_marker`` and
+    ``right_extent`` in its CodingReport."""
+
+    block: int
+    left_marker: int
+    right_extent: int
+    indices: range
+    symbols: SymbolWord
+
+
+@dataclass(frozen=True)
 class MapResult:
-    outputs: dict[int, int]
-    reports: dict[int, CodingReport]
+    """Outcome of ``map_range``: one record per block with determined
+    indices, in index order, and the undetermined indices, sorted.
+    ``outputs`` and ``reports``, keyed by index, are views of the records,
+    built on first access."""
+
+    blocks: list[BlockOutput]
     undetermined: list[int]
+
+    @cached_property
+    def outputs(self) -> dict[int, int]:
+        return {i: s for b in self.blocks for i, s in zip(b.indices, b.symbols)}
+
+    @cached_property
+    def reports(self) -> dict[int, CodingReport]:
+        out = {}
+        for b in self.blocks:
+            left, right = b.left_marker, b.right_extent
+            for i in b.indices:
+                out[i] = CodingReport(i, b.block, left, right, max(i - left, right - i))
+        return out
 
 
 def map_range(
@@ -279,60 +290,53 @@ def map_range(
 ) -> MapResult:
     """Transform the output indices ``first..last`` (inclusive, 0-based).
 
-    Indices whose enclosing block or schedule cannot be completed from the
-    available input are reported undetermined.  Each index may look at most
-    ``max_window`` symbols past itself; WindowExhausted is raised only when
-    an index's schedule failed *and* the stream continues beyond that
+    Each index may look at most ``max_window`` symbols past itself, so it gets
+    the outcome it would get alone.  Indices whose block's right marker lies
+    past their cap, or whose block or schedule cannot be completed from the
+    available input, are reported undetermined.  WindowExhausted is raised
+    when an index's schedule failed *and* the stream continues beyond that
     index's cap (so the cap, not the input, was the binding constraint).
+    Every index of a block shares its left marker, right extent and word, so
+    the work is done once per block.
     """
     x = check_word(stream, cfg.alphabet_size)
     if not 0 <= first <= last < len(x):
         raise ValueError(f"range {first}..{last} outside input 0..{len(x) - 1}")
-    limit = last + 1 + max_window
-    window = x[:limit] if limit < len(x) else x
-
+    cap = max_window + 1  # index i sees the symbols before i + cap
+    window = x[: last + cap]
     markers = scan_markers(window, cfg)
-    if len(markers) < 2:
-        return MapResult({}, {}, list(range(first, last + 1)))
-    blocks = blocks_from_markers(window, markers, cfg)
+    ks = range(
+        max(bisect_left(markers, first), 1) - 1,
+        min(bisect_left(markers, last), len(markers) - 1),
+    )
+    if not ks:
+        return MapResult([], list(range(first, last + 1)))
 
-    undetermined: list[int] = []
-    per_block: dict[int, list[int]] = {}
-    for i in range(first, last + 1):
-        u = bisect_left(markers, i)
-        if 1 <= u <= len(markers) - 1:
-            per_block.setdefault(u - 1, []).append(i)
-        else:
-            undetermined.append(i)
-    if not per_block:
-        return MapResult({}, {}, undetermined)
-
-    schedule = run_schedule(blocks, q, per_block.keys())
-    outputs: dict[int, int] = {}
-    reports: dict[int, CodingReport] = {}
-    for k, indices in per_block.items():
+    schedule = run_schedule(blocks_from_markers(window, markers, cfg), q, ks)
+    t = cfg.marker_len
+    undetermined = list(range(first, min(last, markers[0]) + 1))
+    records = []
+    for k in ks:
+        left = markers[k]
+        lo, hi = max(first, left + 1), min(last, markers[k + 1])
+        # Indices from ``seen`` on see block k's right marker, and those from
+        # ``start`` on see everything its simulator read.
+        seen = max(lo, markers[k + 1] + t - cap)
+        start = hi + 1
         if k in schedule.results:
-            word = schedule.results[k]
-            left = markers[k]
-            right = markers[schedule.reach[k] + 1] + cfg.marker_len
-            for i in indices:
-                outputs[i] = word[i - left - 1]
-                reports[i] = CodingReport(
-                    index=i,
-                    block=k,
-                    left_marker=left,
-                    right_extent=right,
-                    radius=max(i - left, right - i),
-                )
-        else:
-            for i in indices:
-                if i + max_window + 1 < len(x):
-                    raise WindowExhausted(
-                        f"cap of {max_window} symbols past index {i} exhausted "
-                        f"before block {k} completed"
-                    )
-            undetermined.extend(indices)
-    return MapResult(outputs, reports, sorted(undetermined))
+            right = markers[schedule.reach[k] + 1] + t
+            start = max(seen, right - cap)
+        if seen < min(start, hi + 1) and seen + cap < len(x):
+            raise WindowExhausted(
+                f"cap of {max_window} symbols past index {seen} exhausted "
+                f"before block {k} completed"
+            )
+        undetermined.extend(range(lo, min(start, hi + 1)))
+        if start <= hi:
+            word = schedule.results[k][start - left - 1 : hi - left]
+            records.append(BlockOutput(k, left, right, range(start, hi + 1), word))
+    undetermined.extend(range(max(first, markers[-1] + 1), last + 1))
+    return MapResult(records, undetermined)
 
 
 def certified_radius(

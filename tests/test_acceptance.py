@@ -17,7 +17,7 @@ import pytest
 from scipy import stats
 
 import finitary as F
-from finitary.core import ProbabilityVector, entropy, validate_distribution
+from finitary.core import ProbabilityVector, check_word, entropy
 from finitary.extractor import PatternConfig
 
 from oracles import brute_survival
@@ -32,6 +32,12 @@ FOUR_TARGETS = [
     ProbabilityVector.parse("1/4,1/4,1/2"),
     ProbabilityVector.parse("1/6,1/3,1/2"),
 ]
+
+
+def segment(stream, cfg):
+    """Blocks of a validated stream, with words and extracted bits."""
+    x = check_word(stream, cfg.alphabet_size)
+    return F.blocks_from_markers(x, F.scan_markers(x, cfg), cfg)
 
 
 @contextmanager
@@ -98,14 +104,15 @@ def test_criterion_2_tail_bounds():
         assert fair.survival[2] == 1
         assert fair.survival[3] == Fraction(1, 2)
         assert all(fair.survival[k] == Fraction(4, 1 << k) for k in range(2, 21))
-        lo, hi = F.exact_mean_T(FAIR, 40)
+        mean = F.exact_tail(FAIR, 40)
+        lo, hi = mean.mean_lo, mean.mean_hi
         assert lo <= 4 <= hi and hi - lo < Fraction(1, 1 << 30)
 
 
 def test_criterion_3_mean_bound():
     with criterion(3, "mean stopping time under entropy bound"):
         for q in FOUR_TARGETS:
-            _, hi = F.exact_mean_T(q, 40)
+            hi = F.exact_tail(q, 40).mean_hi
             assert float(hi) <= entropy(q) / math.log(2) + 6 + 1e-9
 
 
@@ -149,7 +156,7 @@ def test_criterion_5_engine_output_law(engine_run):
                 j += 1
         tally = Counter(pairs)
         pair_counts = [tally[(a, b)] for a in (1, 2) for b in (1, 2)]
-        qpairs = validate_distribution([Fraction(1, 4)] * 4)
+        qpairs = ProbabilityVector((Fraction(1, 4),) * 4)
         doubles = F.chi_square(pair_counts, qpairs)
         assert doubles.df == 3
         assert doubles.statistic < stats.chi2.isf(0.001, 3)
@@ -183,7 +190,7 @@ def test_criterion_7_source_universality():
     with criterion(7, "source universality"):
         import inspect
 
-        for fn in (F.map_range, F.run_schedule, F.segment_blocks, F.scan_markers):
+        for fn in (F.map_range, F.run_schedule, F.blocks_from_markers, F.scan_markers):
             params = set(inspect.signature(fn).parameters)
             assert not params & {"p", "source", "source_distribution"}
         # A fixed symbol sequence maps identically no matter how it was
@@ -228,7 +235,7 @@ def test_criterion_9_left_independence():
         for seed in range(100):
             rng = np.random.Generator(np.random.PCG64(2000 + seed))
             stream = [int(v) for v in rng.integers(1, 4, size=2500)]
-            blocks = F.segment_blocks(stream, PatternConfig(3, 3))
+            blocks = segment(stream, PatternConfig(3, 3))
             assert len(blocks) > 10
             full = F.run_schedule(blocks, FAIR, range(len(blocks)))
             tail = F.run_schedule(blocks, FAIR, range(5, len(blocks)))
@@ -248,7 +255,7 @@ def test_criterion_10_schedule_invariants(engine_run):
         assert result.outputs  # the big run completed with checks enabled
         rng = np.random.Generator(np.random.PCG64(77))
         stream = [int(v) for v in rng.integers(1, 4, size=5000)]
-        blocks = F.segment_blocks(stream, PatternConfig(3, 3))
+        blocks = segment(stream, PatternConfig(3, 3))
         res = F.run_schedule(blocks, FAIR, range(len(blocks)))
         assert res.invariant_checks > 0
         seen = set()

@@ -13,8 +13,12 @@ from finitary.cli import (
     main,
     parse_config,
 )
+from finitary.core import ProbabilityVector
+from finitary.engine import map_range
+from finitary.extractor import PatternConfig
 
 F = Fraction
+Q13 = ProbabilityVector.parse("1/3,2/3")
 
 
 def run_cli(argv, stdin_text=""):
@@ -143,6 +147,48 @@ class TestEncodeCommand:
     def test_empty_input_ok(self):
         code, out, _ = run_cli(["encode", "--a", "2", "--q", "1/2,1/2", "--t", "3"], "")
         assert code == EXIT_OK and out == ""
+
+
+class TestEncodeWriter:
+    # Streams: random ones with undetermined edges, one with a single marker
+    # and one with none.
+    STREAMS = [
+        pytest.param(make_stream(5, 1500, 3), 3, 3, id="seed5-a3-t3"),
+        pytest.param(make_stream(8, 900, 3), 3, 2, id="seed8-a3-t2"),
+        pytest.param(make_stream(9, 700, 2), 2, 4, id="seed9-a2-t4"),
+        pytest.param("3 1 1 3 2 1 1 3 3 1", 3, 3, id="one-marker"),
+        pytest.param("1 3 3 1 1 3", 3, 3, id="no-marker"),
+    ]
+
+    @pytest.mark.parametrize("report", [False, True])
+    @pytest.mark.parametrize("text,a,t", STREAMS)
+    def test_matches_per_index_rendering(self, text, a, t, report):
+        symbols = [int(tok) for tok in text.split()]
+        result = map_range(symbols, PatternConfig(a, t), Q13, 0, len(symbols) - 1)
+        assert result.undetermined[0] == 0
+        lines = []
+        for i in sorted(result.outputs):
+            if report:
+                lines.append(f"{i}\t{result.outputs[i]}\t{result.reports[i].radius}\n")
+            else:
+                lines.append(f"{result.outputs[i]}\n")
+        argv = ["encode", "--a", str(a), "--q", "1/3,2/3", "--t", str(t)]
+        code, out, _ = run_cli(argv + ["--report"] * report, text)
+        assert code == EXIT_OK
+        assert out == "".join(lines)
+
+    def test_builds_no_per_index_results(self, monkeypatch):
+        import finitary.engine
+
+        def refuse(*args):
+            raise AssertionError("encode built a per-index result")
+
+        monkeypatch.setattr(finitary.engine, "CodingReport", refuse)
+        monkeypatch.setattr(finitary.engine.MapResult, "outputs", property(refuse))
+        monkeypatch.setattr(finitary.engine.MapResult, "reports", property(refuse))
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3", "--report"]
+        code, out, _ = run_cli(argv, make_stream(5, 1500, 3))
+        assert code == EXIT_OK and out
 
 
 class TestVerifyBoundsCommand:

@@ -10,7 +10,6 @@ from finitary.core import (
     parse_bits,
     parse_rational,
     parse_word,
-    validate_distribution,
 )
 
 F = Fraction
@@ -30,26 +29,26 @@ class TestParseRational:
 
 class TestValidateDistribution:
     def test_accepts_uniform(self):
-        validate_distribution([F(1, 2), F(1, 2)])
+        ProbabilityVector((F(1, 2), F(1, 2)))
 
     def test_accepts_exact_sum(self):
-        validate_distribution([F(1, 3), F(2, 3)])
+        ProbabilityVector((F(1, 3), F(2, 3)))
 
     def test_zero_entry_reports_index(self):
         with pytest.raises(ValueError, match="zero entry at index 2"):
-            validate_distribution([F(1, 2), F(0), F(1, 2)])
+            ProbabilityVector((F(1, 2), F(0), F(1, 2)))
 
     def test_negative_entry_reports_index(self):
         with pytest.raises(ValueError, match="negative entry at index 1"):
-            validate_distribution([F(-1, 2), F(3, 2)])
+            ProbabilityVector((F(-1, 2), F(3, 2)))
 
     def test_bad_sum_reports_value(self):
         with pytest.raises(ValueError, match="sum to 5/6"):
-            validate_distribution([F(1, 2), F(1, 3)])
+            ProbabilityVector((F(1, 2), F(1, 3)))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            validate_distribution([])
+            ProbabilityVector(())
 
     def test_parse(self):
         assert ProbabilityVector.parse("1/4,3/4").entries == (F(1, 4), F(3, 4))
@@ -92,7 +91,7 @@ rationals = st.fractions(
 @given(st.lists(rationals, min_size=1, max_size=6))
 def test_cumulative_strictly_increasing(parts):
     total = sum(parts)
-    p = validate_distribution([v / total for v in parts])
+    p = ProbabilityVector(tuple(v / total for v in parts))
     cum = cumulative(p)
     assert cum[0] == 0 and cum[-1] == 1
     assert all(a < b for a, b in zip(cum, cum[1:]))

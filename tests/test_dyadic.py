@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from finitary.core import ProbabilityVector, entropy, validate_distribution
+from finitary.core import ProbabilityVector, entropy
 from finitary.dyadic import (
     DyadicCursor,
     InsufficientBitsError,
-    exact_mean_T,
     exact_symbol_law,
     exact_tail,
     simulate_one,
@@ -142,8 +141,8 @@ def test_prefix_determinism(extension):
     st.integers(0, 3),
 )
 def test_interval_nesting(bits, size, seed_shift):
-    q = validate_distribution(
-        [F(1, size)] * (size - 1) + [F(size - (size - 1), size)]
+    q = ProbabilityVector(
+        (F(1, size),) * (size - 1) + (F(size - (size - 1), size),)
     )
     c = DyadicCursor(q, 3)
     prev_lo, prev_hi = c.lo, c.hi
@@ -193,29 +192,30 @@ class TestExactTail:
 
 class TestExactMean:
     def test_fair_coin_mean_is_four(self):
-        lo, hi = exact_mean_T(FAIR, 30)
+        rep = exact_tail(FAIR, 30)
+        lo, hi = rep.mean_lo, rep.mean_hi
         assert lo <= 4 <= hi
         assert hi - lo < F(1, 1 << 25)
         # The per-depth values are exactly geometric from depth 2 on.
-        rep = exact_tail(FAIR, 30)
         assert all(rep.survival[k] == F(4, 1 << k) for k in range(2, 31))
 
     def test_fair_coin_mean_under_entropy_bound(self):
-        _, hi = exact_mean_T(FAIR, 30)
+        hi = exact_tail(FAIR, 30).mean_hi
         assert float(hi) <= entropy(FAIR) / 0.6931471805599453 + 6
 
     def test_single_symbol_target_mean_is_three(self):
         # Success needs an interior dyadic interval: P(T>k) = 2^(1-k) for k >= 1,
         # so E(T) = 1 + sum_{k>=1} 2^(1-k) = 3.  Verified against brute
         # enumeration below and frozen.
-        q1 = validate_distribution([F(1)])
+        q1 = ProbabilityVector((F(1),))
         assert brute_survival(q1, 8) == [1, 1] + [F(2, 1 << k) for k in range(2, 9)]
-        lo, hi = exact_mean_T(q1, 30)
+        rep = exact_tail(q1, 30)
+        lo, hi = rep.mean_lo, rep.mean_hi
         assert lo <= 3 <= hi and hi - lo < F(1, 1 << 25)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            exact_mean_T(FAIR, 1)
+            exact_tail(FAIR, 0)
 
 
 class TestSymbolLaw:
@@ -238,7 +238,7 @@ def lex_product(q, length):
     probs = [F(1)]
     for _ in range(length):
         probs = [p * q.prob(j) for p in probs for j in range(1, q.size + 1)]
-    return validate_distribution(probs)
+    return ProbabilityVector(tuple(probs))
 
 
 class TestNestedFlatConsistency:

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finitary.core import ProbabilityVector, validate_distribution
+from finitary.core import ProbabilityVector, check_word
 from finitary.engine import (
     BlockRecord,
     UndeterminedIndex,
     WindowExhausted,
+    blocks_from_markers,
     certified_radius,
     map_range,
     run_schedule,
     scan_markers,
-    segment_blocks,
 )
 from finitary.extractor import PatternConfig, extract
 
@@ -26,6 +26,12 @@ Q13 = ProbabilityVector.parse("1/3,2/3")
 def random_stream(seed, size, alphabet):
     rng = np.random.Generator(np.random.PCG64(seed))
     return [int(v) for v in rng.integers(1, alphabet + 1, size=size)]
+
+
+def segment(stream, cfg):
+    """Blocks of a validated stream, with words and extracted bits."""
+    x = check_word(stream, cfg.alphabet_size)
+    return blocks_from_markers(x, scan_markers(x, cfg), cfg)
 
 
 def synthetic_block(index, length, bits, left=None):
@@ -59,25 +65,25 @@ class TestScanMarkers:
 
 class TestSegmentBlocks:
     def test_single_block_with_word(self):
-        blocks = segment_blocks((2, 1, 3, 1, 2, 1), PatternConfig(3, 2))
+        blocks = segment((2, 1, 3, 1, 2, 1), PatternConfig(3, 2))
         assert len(blocks) == 1
         blk = blocks[0]
-        assert (blk.length, blk.word, blk.word_length) == (4, (3, 1), 2)
+        assert (blk.length, blk.word, len(blk.word)) == (4, (3, 1), 2)
         assert blk.bits == extract((3, 1), PatternConfig(3, 2)).bits
 
     def test_adjacent_markers_empty_word(self):
-        blocks = segment_blocks((2, 1, 1, 2, 1, 1, 1), PatternConfig(2, 3))
+        blocks = segment((2, 1, 1, 2, 1, 1, 1), PatternConfig(2, 3))
         assert len(blocks) == 1
         assert (blocks[0].length, blocks[0].word, blocks[0].bit_count) == (3, (), 0)
 
     def test_fewer_than_two_markers(self):
-        assert segment_blocks((1, 2), PatternConfig(2, 2)) == []
+        assert segment((1, 2), PatternConfig(2, 2)) == []
 
     def test_words_never_contain_the_pattern(self):
         for seed in range(5):
             stream = random_stream(seed, 600, 2)
-            for blk in segment_blocks(stream, PatternConfig(2, 2)):
-                assert blk.length >= 2 and blk.word_length >= 0
+            for blk in segment(stream, PatternConfig(2, 2)):
+                assert blk.length >= 2 and len(blk.word) >= 0
 
 
 class TestRunSchedule:
@@ -105,14 +111,14 @@ class TestRunSchedule:
 
     def test_block_length_equals_output_length(self):
         stream = random_stream(3, 2000, 3)
-        blocks = segment_blocks(stream, PatternConfig(3, 2))
+        blocks = segment(stream, PatternConfig(3, 2))
         res = run_schedule(blocks, FAIR, range(len(blocks)))
         for k, word in res.results.items():
             assert len(word) == blocks[k].length
 
     def test_disjoint_consumption(self):
         stream = random_stream(4, 3000, 3)
-        blocks = segment_blocks(stream, PatternConfig(3, 2))
+        blocks = segment(stream, PatternConfig(3, 2))
         res = run_schedule(blocks, FAIR, range(len(blocks)))
         seen = set()
         for k, positions in res.consumed.items():
@@ -166,7 +172,7 @@ class TestAgainstNaiveTranscription:
     )
     def test_schedule_matches(self, seed, size, a, t, q, kind):
         stream = random_stream(seed, size, a)
-        blocks = segment_blocks(stream, PatternConfig(a, t))
+        blocks = segment(stream, PatternConfig(a, t))
         targets = target_set(kind, len(blocks))
         res = run_schedule(blocks, q, targets)
         done, consumed, reach, exited, steps = naive_schedule(blocks, q, targets)
@@ -192,7 +198,7 @@ class TestDegenerateAndWideConfigs:
         # t=1: every occurrence of symbol 2 is a marker; block words contain
         # no 2 at all.
         stream = random_stream(78, 1200, 4)
-        q = validate_distribution([Fraction(1)])
+        q = ProbabilityVector((Fraction(1),))
         res = map_range(stream, PatternConfig(4, 1), q, 0, len(stream) - 1)
         assert res.outputs == naive_map(stream, 4, 1, q)
         assert len(res.outputs) > 500
@@ -201,7 +207,7 @@ class TestDegenerateAndWideConfigs:
     def test_single_symbol_target(self):
         # b=1: the output is constant but the simulators still consume bits.
         stream = random_stream(31, 900, 3)
-        q = validate_distribution([Fraction(1)])
+        q = ProbabilityVector((Fraction(1),))
         res = map_range(stream, PatternConfig(3, 2), q, 0, len(stream) - 1)
         assert len(res.outputs) > 500
         assert set(res.outputs.values()) == {1}
@@ -292,7 +298,7 @@ class TestMapRange:
             with pytest.raises(ValueError, match=message):
                 map_range(bad_stream, cfg, FAIR, 0, len(stream) - 1)
             with pytest.raises(ValueError, match=message):
-                segment_blocks(bad_stream, cfg)
+                check_word(bad_stream, cfg.alphabet_size)
 
     def test_block_words_are_not_validated_again(self, monkeypatch):
         import finitary.extractor
@@ -325,6 +331,57 @@ class TestWindowCap:
         res = map_range(self.STARVED, PatternConfig(3, 4), FAIR, 5, 6, max_window=30)
         assert res.outputs == {}
         assert res.undetermined == [5, 6]
+
+    def test_full_range_applies_the_cap_per_index(self):
+        # With a cap of 200, 290 of the 2,667 outputs a full-range call once
+        # returned needed more lookahead than that; index 93 alone raised.
+        stream = random_stream(7, 2800, 3)
+        cfg = PatternConfig(3, 3)
+        uncapped = map_range(stream, cfg, FAIR, 0, len(stream) - 1)
+        assert len(uncapped.outputs) == 2667
+        assert sum(r.right_extent - i > 201 for i, r in uncapped.reports.items()) == 290
+        with pytest.raises(WindowExhausted, match="index 93 "):
+            map_range(stream, cfg, FAIR, 93, 93, max_window=200)
+        with pytest.raises(WindowExhausted):
+            map_range(stream, cfg, FAIR, 0, len(stream) - 1, max_window=200)
+
+    def test_range_agrees_with_single_indices(self):
+        # A range raises iff one of its indices raises alone; otherwise each
+        # index has the output and report it has alone.  The ranges are the
+        # whole stream, its middle third and each block's own indices.
+        raised = agreed = capped = 0
+        for seed, a, t, q in [(50, 3, 2, FAIR), (51, 2, 3, Q13), (52, 3, 3, FAIR)]:
+            stream = random_stream(seed, 240, a)
+            cfg, n = PatternConfig(a, t), len(stream)
+            marks = scan_markers(stream, cfg)
+            ranges = [(0, n - 1), (n // 3, 2 * n // 3)]
+            ranges += [(left + 1, right) for left, right in zip(marks, marks[1:])]
+            uncapped = map_range(stream, cfg, q, 0, n - 1).outputs
+            for cap in (0, 3, 10, 30, 80, 240):
+                alone = []
+                for i in range(n):
+                    try:
+                        res = map_range(stream, cfg, q, i, i, max_window=cap)
+                    except WindowExhausted:
+                        alone.append(None)
+                    else:
+                        alone.append((res.outputs.get(i), res.reports.get(i)))
+                for first, last in ranges:
+                    part = dict(enumerate(alone[first : last + 1], start=first))
+                    if None in part.values():
+                        raised += 1
+                        with pytest.raises(WindowExhausted):
+                            map_range(stream, cfg, q, first, last, max_window=cap)
+                        continue
+                    agreed += 1
+                    res = map_range(stream, cfg, q, first, last, max_window=cap)
+                    determined = {i: o for i, (o, _) in part.items() if o is not None}
+                    assert res.outputs == determined
+                    assert res.reports == {i: r for i, (_, r) in part.items() if r}
+                    assert res.undetermined == sorted(part.keys() - determined.keys())
+                    # The cap left some of the range's outputs undetermined.
+                    capped += 0 < len(determined) < len(part.keys() & uncapped.keys())
+        assert raised and agreed and capped
 
 
 class TestCertifiedRadius:
@@ -368,7 +425,7 @@ class TestLeftIndependence:
     @pytest.mark.parametrize("seed", range(6))
     def test_adding_left_simulators_changes_nothing(self, seed):
         stream = random_stream(100 + seed, 3000, 3)
-        blocks = segment_blocks(stream, PatternConfig(3, 3))
+        blocks = segment(stream, PatternConfig(3, 3))
         assert len(blocks) > 8
         full = run_schedule(blocks, FAIR, range(len(blocks)))
         tail = run_schedule(blocks, FAIR, range(5, len(blocks)))
@@ -382,7 +439,7 @@ class TestSourceUniversality:
     def test_no_source_distribution_parameter(self):
         import inspect
 
-        for fn in (map_range, run_schedule, segment_blocks, scan_markers):
+        for fn in (map_range, run_schedule, blocks_from_markers, scan_markers):
             names = set(inspect.signature(fn).parameters)
             assert not names & {"p", "source", "source_distribution"}
 
