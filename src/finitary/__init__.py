@@ -47,6 +47,7 @@ from .engine import (
     WindowExhausted,
     blocks_from_markers,
     certified_radius,
+    encode_stream,
     map_range,
     run_schedule,
     scan_markers,

@@ -83,7 +83,7 @@ def sample_blocks(
     while True:
         chunk = max(4096, int(e_lam * (count + 8) * 1.25) + 1024 - len(buf))
         buf = np.concatenate([buf, sample_symbols(p, chunk, rng)])
-        markers = scan_markers(buf, cfg)
+        markers = scan_markers(buf.tolist(), cfg)
         if len(markers) >= count + 1:
             break
         if len(buf) > cap:

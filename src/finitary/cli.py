@@ -23,6 +23,8 @@ EXIT_INPUT = 1
 EXIT_WINDOW = 2
 EXIT_VERIFY = 3
 
+READ_SIZE = 1 << 16  # characters of stdin that ``encode`` reads at a time
+
 _CONFIG_KEYS = {"a", "q", "eps", "t", "seed", "max_window"}
 
 
@@ -203,6 +205,24 @@ def _merge_encode_config(args) -> Config:
     return Config(**fields)
 
 
+def _read_symbols(stdin, stdout):
+    """The symbols on stdin, as one list per piece of READ_SIZE characters.
+
+    A token cut by the end of a piece is carried into the next.  stdout is
+    flushed before each read after the first, so the lines written so far
+    leave while the encoder waits for input.
+    """
+    carry = ""
+    while piece := stdin.read(READ_SIZE):
+        text = carry + piece
+        tokens = text.split()
+        carry = tokens.pop() if tokens and not text[-1].isspace() else ""
+        yield [int(tok) for tok in tokens]
+        stdout.flush()
+    if carry:
+        yield [int(carry)]
+
+
 def _cmd_encode(args, stdin, stdout) -> int:
     config = _merge_encode_config(args)
     t = config.marker_len
@@ -211,25 +231,17 @@ def _cmd_encode(args, stdin, stdout) -> int:
             config.target, config.entropy_gap, config.alphabet_size
         )
     cfg = PatternConfig(config.alphabet_size, t)
-    tokens = stdin.read().split()
-    if not tokens:
-        return EXIT_OK
-    symbols = [int(tok) for tok in tokens]
-    result = engine.map_range(
-        symbols,
-        cfg,
-        config.target,
-        0,
-        len(symbols) - 1,
-        max_window=config.max_window,
-    )
-    lines = []
-    for blk in result.blocks:
-        left, right = blk.left_marker, blk.right_extent
-        for i, s in zip(blk.indices, blk.symbols):
-            row = f"{i}\t{s}\t{max(i - left, right - i)}\n" if args.report else f"{s}\n"
-            lines.append(row)
-    stdout.write("".join(lines))
+    symbols = _read_symbols(stdin, stdout)
+    for blk in engine.encode_stream(symbols, cfg, config.target, config.max_window):
+        if args.report:
+            left, right = blk.left_marker, blk.right_extent
+            rows = (
+                f"{i}\t{s}\t{max(i - left, right - i)}\n"
+                for i, s in zip(blk.indices, blk.symbols)
+            )
+        else:
+            rows = (f"{s}\n" for s in blk.symbols)
+        stdout.write("".join(rows))
     return EXIT_OK
 
 

@@ -114,23 +114,31 @@ def cumulative(p: ProbabilityVector) -> list[Fraction]:
     return out
 
 
-def check_word(symbols: Sequence[int], alphabet_size: int) -> SymbolWord:
+class SymbolError(ValueError):
+    """A symbol that is not an integer in the alphabet, at ``position``."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
+
+
+def check_word(symbols: Sequence[int], alphabet_size: int, start: int = 0) -> SymbolWord:
     """Validate a word over the alphabet ``{1..alphabet_size}``.
 
     Accepts any integral symbol type (numpy ints included) and returns plain
-    Python ints.
+    Python ints.  Errors give positions counted from ``start``.
     """
     out = []
-    for pos, s in enumerate(symbols):
+    for pos, s in enumerate(symbols, start):
         try:
             value = operator.index(s)
         except TypeError:
-            raise ValueError(
-                f"symbol {s!r} at position {pos} is not an integer"
+            raise SymbolError(
+                f"symbol {s!r} at position {pos} is not an integer", pos
             ) from None
         if isinstance(s, bool) or not 1 <= value <= alphabet_size:
-            raise ValueError(
-                f"symbol {s!r} at position {pos} outside 1..{alphabet_size}"
+            raise SymbolError(
+                f"symbol {s!r} at position {pos} outside 1..{alphabet_size}", pos
             )
         out.append(value)
     return tuple(out)

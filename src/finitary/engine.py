@@ -11,11 +11,16 @@ drifts into the blocks to its right.
 
 Lockstep simulators keep their offsets, so the rule is a stack, and the
 schedule runs as one left-to-right sweep over the bit positions: the latest
-started simulator that is still running reads each position.
+started simulator that is still running reads each position.  The sweep
+takes the blocks one at a time, so ``run_schedule`` feeds it a window's
+blocks and ``encode_stream`` feeds it blocks as their closing markers
+arrive.
 
 Every output index of a block shares the block's left marker, right extent
 and simulated word, so ``map_range`` keeps one record per block; its
 per-index outputs and reports are views built on first access.
+``encode_stream`` yields the same records for a whole stream read in
+chunks, each once no lower simulator is still running.
 
 The transform never sees the law that generated the input, only the stream
 itself, so identical streams give identical outputs no matter their origin.
@@ -23,16 +28,16 @@ itself, so identical streams give identical outputs no matter their origin.
 
 from __future__ import annotations
 
+import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import ge
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .core import ProbabilityVector, SymbolWord, check_word
+from .core import ProbabilityVector, SymbolError, SymbolWord, check_word
 from .dyadic import DyadicCursor
 # Callers validate the whole stream once, so block words skip the check.
 from .extractor import PatternConfig, _extract as extract
@@ -82,14 +87,19 @@ class BlockRecord:
 def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
     """Positions (0-based) where the full marker pattern fits and matches.
 
-    Every 2 that leaves room for the pattern is a candidate; a prefix count
-    of ones confirms the t-1 ones after it.
+    Each symbol becomes one byte, symbols above 255 becoming 255, which is
+    neither 1 nor 2; a sequence other than a list or tuple (a numpy array,
+    say) is read by value, not as a buffer.  The pattern cannot overlap
+    itself, so the non-overlapping matches of a regular expression are all
+    of its occurrences.
     """
-    t = cfg.marker_len
-    arr = np.asarray(segment)
-    ones = np.concatenate([[0], np.cumsum(arr == 1)])
-    cand = np.flatnonzero(arr[: max(len(arr) - t + 1, 0)] == 2)
-    return cand[ones[cand + t] - ones[cand + 1] == t - 1].tolist()
+    symbols = segment if isinstance(segment, (list, tuple)) else list(segment)
+    try:
+        data = bytes(symbols)
+    except ValueError:  # a symbol above 255
+        data = bytes(min(s, 255) for s in symbols)
+    pattern = b"\x02" + b"\x01" * (cfg.marker_len - 1)
+    return [m.start() for m in re.finditer(pattern, data)]
 
 
 def blocks_from_markers(
@@ -135,6 +145,76 @@ class ScheduleResult:
         return {k: tuple(bits[p] for p in ps) for k, ps in self.reads.items()}
 
 
+class _Sweep:
+    """The schedule's stack sweep, fed one block at a time.
+
+    Each block's bits take the next flat positions.  Its simulator is pushed
+    at the first of them (a block without bits waits for the next block that
+    has some), and the simulator on top of the stack reads each position
+    while fewer than ``steps`` positions lie between its start and that
+    position.  ``steps`` is unbounded until a caller sets it.
+
+    Every read is checked against the last position read and the reading
+    simulator's own last read, which is O(1) state per simulator: no
+    position is read twice and each simulator reads in increasing order.
+    """
+
+    def __init__(self, q: ProbabilityVector, pos: int = 0):
+        self.q = q
+        self.pos = pos  # the next flat position
+        self.last = -1  # the last position read
+        self.steps = math.inf
+        self.stack: list[list] = []  # [index, cursor, start, last read, reads]
+        self.waiting: list[tuple] = []  # blocks whose bits have not started
+
+    def lowest(self) -> int | None:
+        """The lowest simulator still running or waiting to start."""
+        if self.stack:
+            return self.stack[0][0]
+        return self.waiting[0][0] if self.waiting else None
+
+    def feed(
+        self, k: int, length: int, bits: Sequence[int], reads: list[int] | None = None
+    ) -> Iterator[tuple[int, DyadicCursor, int]]:
+        """Add block k, the next block, and sweep its bits.
+
+        Yields ``(simulator, cursor, position)`` each time a simulator
+        succeeds; the caller may set ``steps`` before resuming.  When
+        ``reads`` is a list, simulator k appends each position it reads.
+        """
+        self.waiting.append((k, length, reads))
+        if not bits:
+            return
+        stack, p = self.stack, self.pos
+        for j, n, taken in self.waiting:
+            stack.append([j, DyadicCursor(self.q, n), p, -1, taken])
+        self.waiting.clear()
+        self.pos = p + len(bits)
+        last = self.last
+        k, cursor, start, prev, taken = stack[-1]
+        stop = start + self.steps
+        for p, bit in enumerate(bits, p):
+            if p >= stop:
+                break
+            if p <= last:
+                raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
+            if p <= prev:
+                raise InvariantViolation(f"simulator {k} read out of order")
+            last = prev = p
+            if taken is not None:
+                taken.append(p)
+            if cursor.feed(bit) and cursor.successful:
+                stack.pop()
+                self.last = last
+                yield k, cursor, p
+                if not stack:
+                    return
+                k, cursor, start, prev, taken = stack[-1]
+                stop = start + self.steps
+        stack[-1][3] = prev
+        self.last = last
+
+
 def run_schedule(
     blocks: Sequence[BlockRecord],
     q: ProbabilityVector,
@@ -169,10 +249,7 @@ def run_schedule(
         raise ValueError(f"targets outside window blocks 0..{nblocks - 1}")
 
     first_flat = [0, *accumulate(blk.bit_count for blk in blocks)]
-    flat_bits = [b for blk in blocks for b in blk.bits]
     total = first_flat[nblocks]
-    flat_used = bytearray(total)
-
     sims = range(targets[0], nblocks)
     reads: dict[int, list[int]] = {k: [] for k in sims}
     results: dict[int, SymbolWord] = {}
@@ -183,36 +260,21 @@ def run_schedule(
         return done[k] - first_flat[k] + 1 if k in done else total - first_flat[k]
 
     pending = {k for k in targets if first_flat[k] < total}
-    steps = None if pending else 0
-    stack: list[tuple[int, DyadicCursor]] = []
-    nxt = targets[0]
-    for p in range(first_flat[nxt], total):
-        while nxt < nblocks and first_flat[nxt] == p:
-            stack.append((nxt, DyadicCursor(q, blocks[nxt].length)))
-            nxt += 1
-        if stack and (steps is None or p < first_flat[stack[-1][0]] + steps):
-            k, cursor = stack[-1]
-            if flat_used[p]:
-                raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
-            flat_used[p] = 1
-            reads[k].append(p)
-            if cursor.feed(flat_bits[p]) and cursor.successful:
-                stack.pop()
-                results[k] = tuple(cursor.emitted)
-                done[k] = p
-                pending.discard(k)
-                if steps is None and not pending:
-                    steps = max(map(finish, targets))
-    if steps is None:
-        steps = max(map(finish, targets))
+    sweep = _Sweep(q, first_flat[targets[0]])
+    for blk in blocks[targets[0] :]:
+        for k, cursor, p in sweep.feed(blk.index, blk.length, blk.bits, reads[blk.index]):
+            results[k] = tuple(cursor.emitted)
+            done[k] = p
+            if k in pending:
+                pending.remove(k)
+                if not pending:
+                    sweep.steps = max(map(finish, targets))
+    steps = max(map(finish, targets))
 
     checks = sum(map(len, reads.values()))
     for k in sims:
-        taken = reads[k]
-        checks += 1
-        if any(map(ge, taken, taken[1:])):
-            raise InvariantViolation(f"simulator {k} read out of order")
         limit = first_flat[k] + steps
+        taken = reads[k]
         del taken[bisect_left(taken, limit) :]
         if k in done and done[k] >= limit:
             del done[k], results[k]
@@ -280,6 +342,43 @@ class MapResult:
         return out
 
 
+def _block_output(
+    k: int,
+    left: int,
+    marker: int,
+    lo: int,
+    hi: int,
+    word: SymbolWord | None,
+    right: int | None,
+    t: int,
+    max_window: int,
+    length: int,
+) -> BlockOutput | None:
+    """The record of block k's indices ``lo..hi``, or None if none of them
+    is determined.
+
+    The block lies between the markers at ``left`` and ``marker``.  ``word``
+    is its simulated word, None while or when the simulator did not
+    succeed, and ``right`` the end of the marker closing the last block the
+    simulator read.  Raises WindowExhausted when an index's cap cut off what
+    it needed and the input, of ``length`` symbols, continues past that cap.
+    """
+    cap = max_window + 1  # index i sees the symbols before i + cap
+    # Indices from ``seen`` on see block k's right marker, and those from
+    # ``start`` on see everything its simulator read.
+    seen = max(lo, marker + t - cap)
+    start = hi + 1 if word is None else max(seen, right - cap)
+    if seen < min(start, hi + 1) and seen + cap < length:
+        raise WindowExhausted(
+            f"cap of {max_window} symbols past index {seen} exhausted "
+            f"before block {k} completed"
+        )
+    if start > hi:
+        return None
+    symbols = word[start - left - 1 : hi - left]
+    return BlockOutput(k, left, right, range(start, hi + 1), symbols)
+
+
 def map_range(
     stream: Sequence[int],
     cfg: PatternConfig,
@@ -302,8 +401,7 @@ def map_range(
     x = check_word(stream, cfg.alphabet_size)
     if not 0 <= first <= last < len(x):
         raise ValueError(f"range {first}..{last} outside input 0..{len(x) - 1}")
-    cap = max_window + 1  # index i sees the symbols before i + cap
-    window = x[: last + cap]
+    window = x[: last + max_window + 1]
     markers = scan_markers(window, cfg)
     ks = range(
         max(bisect_left(markers, first), 1) - 1,
@@ -317,26 +415,108 @@ def map_range(
     undetermined = list(range(first, min(last, markers[0]) + 1))
     records = []
     for k in ks:
-        left = markers[k]
-        lo, hi = max(first, left + 1), min(last, markers[k + 1])
-        # Indices from ``seen`` on see block k's right marker, and those from
-        # ``start`` on see everything its simulator read.
-        seen = max(lo, markers[k + 1] + t - cap)
-        start = hi + 1
+        left, marker = markers[k], markers[k + 1]
+        lo, hi = max(first, left + 1), min(last, marker)
+        word = right = None
         if k in schedule.results:
+            word = schedule.results[k]
             right = markers[schedule.reach[k] + 1] + t
-            start = max(seen, right - cap)
-        if seen < min(start, hi + 1) and seen + cap < len(x):
-            raise WindowExhausted(
-                f"cap of {max_window} symbols past index {seen} exhausted "
-                f"before block {k} completed"
-            )
-        undetermined.extend(range(lo, min(start, hi + 1)))
-        if start <= hi:
-            word = schedule.results[k][start - left - 1 : hi - left]
-            records.append(BlockOutput(k, left, right, range(start, hi + 1), word))
+        record = _block_output(k, left, marker, lo, hi, word, right, t, max_window, len(x))
+        undetermined.extend(range(lo, record.indices.start if record else hi + 1))
+        if record:
+            records.append(record)
     undetermined.extend(range(max(first, markers[-1] + 1), last + 1))
     return MapResult(records, undetermined)
+
+
+def encode_stream(
+    chunks: Iterable[Sequence[int]],
+    cfg: PatternConfig,
+    q: ProbabilityVector,
+    max_window: int = DEFAULT_MAX_WINDOW,
+) -> Iterator[BlockOutput]:
+    """``map_range`` over a whole stream that arrives in chunks.
+
+    Yields the records of ``map_range(stream, cfg, q, 0, len(stream) - 1,
+    max_window).blocks`` in order, each as soon as it is final.  Markers are
+    scanned, blocks extracted and their bits swept as the symbols arrive.
+    Every block of a whole stream is a target, so the lockstep's step cut
+    never drops a read, and block k's record is final once no simulator
+    with index <= k is still running.
+
+    The state kept is the running simulators and their blocks' markers, the
+    finished records that wait for a lower simulator, and the symbols of the
+    block not yet closed.  The lowest running simulator can run only until
+    the input passes its cap, so all of it but the open block lies within
+    ``max_window`` symbols of that simulator's block.
+
+    Raises WindowExhausted as soon as the input runs past the cap of a block
+    whose simulator has not succeeded, which is when the whole-stream call
+    raises, since every bit that has arrived has been swept by then.  A bad
+    symbol raises ValueError after the symbols before it have been worked
+    through, so the error is WindowExhausted exactly when that prefix alone
+    gives it.
+    """
+    t, alphabet = cfg.marker_len, cfg.alphabet_size
+    sweep = _Sweep(q)
+    markers: dict[int, tuple[int, int]] = {}  # running block -> its two markers
+    finished: list[tuple[int, BlockOutput]] = []  # heap of records not yet yielded
+    buf: list[int] = []  # the symbols from ``base`` on
+    base = received = 0
+    left = None  # the marker that opens the block not yet closed
+    nxt = 0  # index of the next block to close
+
+    def check_running() -> None:
+        # The lowest running block has the lowest cap of all.
+        k = sweep.lowest()
+        if k is not None:
+            left_k, right_k = markers[k]
+            _block_output(
+                k, left_k, right_k, left_k + 1, right_k, None, None, t, max_window, received
+            )
+
+    def ready(lowest: int | None) -> Iterator[BlockOutput]:
+        # Records below the lowest running simulator are final.
+        while finished and (lowest is None or finished[0][0] < lowest):
+            yield heappop(finished)[1]
+
+    for chunk in chunks:
+        try:
+            symbols, error = check_word(chunk, alphabet, received), None
+        except SymbolError as exc:
+            symbols, error = check_word(chunk[: exc.position - received], alphabet), exc
+        scan_from = max(received - t + 1, 0)  # where a marker may start unseen
+        buf.extend(symbols)
+        received += len(symbols)
+        for marker in scan_markers(buf[scan_from - base :], cfg):
+            marker += scan_from
+            if left is not None:
+                word = tuple(buf[left + t - base : marker - base])
+                markers[nxt] = (left, marker)
+                for k, cursor, _ in sweep.feed(nxt, marker - left, extract(word, cfg).bits):
+                    left_k, right_k = markers.pop(k)
+                    try:
+                        record = _block_output(
+                            k, left_k, right_k, left_k + 1, right_k, tuple(cursor.emitted),
+                            marker + t, t, max_window, received,
+                        )
+                    except WindowExhausted:
+                        check_running()  # a lower block ran past its cap first
+                        raise
+                    if record:
+                        heappush(finished, (k, record))
+                nxt += 1
+                yield from ready(sweep.lowest())
+            left = marker
+        check_running()
+        cut = max(received - t + 1, 0) if left is None else min(left + t, received - t + 1)
+        del buf[: cut - base]
+        base = cut
+        if error is not None:
+            raise error
+    check_running()
+    # Every simulator still running has run off the input.
+    yield from ready(None)
 
 
 def certified_radius(

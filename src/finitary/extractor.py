@@ -64,7 +64,7 @@ class ExtractionTriple:
     def __post_init__(self) -> None:
         if len(self.bits) != self.num_bits:
             raise ValueError("bit string length does not match bit count")
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("bits must be 0/1")
         if self.class_id < 1:
             raise ValueError("class index must be >= 1")
@@ -426,8 +426,21 @@ def class_from_index(n: int, alphabet_size: int, index: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _powers_desc(d: int) -> list[int]:
-    return [e for e in range(d.bit_length() - 1, -1, -1) if (d >> e) & 1]
+def _sub_block(size: int, rank: int) -> tuple[int, int]:
+    """``(e, offset)``: the power-of-two sub-block 2^e of the class size that
+    holds ``rank``, and the rank's offset down from the sub-block's top.
+
+    Sub-blocks take the set bits of ``size`` from the top, so the walk stops
+    at the first e whose running total reaches the rank; that is almost
+    always the first or the second.
+    """
+    partial, rest = 0, size
+    while True:
+        e = rest.bit_length() - 1
+        partial += 1 << e
+        if partial >= rank:
+            return e, partial - rank
+        rest ^= 1 << e
 
 
 def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
@@ -444,14 +457,9 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
 def _extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     """``extract`` for a word that ``check_word`` has already validated."""
     rank, size, m = _walk(word, cfg)
-    partial = 0
-    for e in _powers_desc(size):
-        partial += 1 << e
-        if partial >= rank:
-            offset = partial - rank
-            bits = tuple((offset >> (e - 1 - i)) & 1 for i in range(e))
-            return ExtractionTriple(e, bits, class_index(m))
-    raise AssertionError("rank exceeded class size")  # pragma: no cover
+    e, offset = _sub_block(size, rank)
+    bits = tuple(map(int, format(offset, f"0{e}b"))) if e else ()
+    return ExtractionTriple(e, bits, class_index(m))
 
 
 def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:
@@ -460,14 +468,10 @@ def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:
     Raises ValueError when the triple is not realizable for (n, cfg).
     """
     m = class_from_index(n, cfg.alphabet_size, triple.class_id)
-    partial = 0
-    for e in _powers_desc(_free_count(m, cfg.marker_len)):
-        partial += 1 << e
-        if e == triple.num_bits:
-            offset = 0
-            for b in triple.bits:
-                offset = (offset << 1) | b
-            return unrank_in_class(m, cfg, partial - offset)
-    raise ValueError(
-        f"bit count {triple.num_bits} not realizable for class {triple.class_id}"
-    )
+    e = triple.num_bits
+    # The sub-blocks above 2^e take the set bits of the class size above e.
+    top = _free_count(m, cfg.marker_len) >> e
+    if not top & 1:
+        raise ValueError(f"bit count {e} not realizable for class {triple.class_id}")
+    offset = int("".join("01"[b] for b in triple.bits), 2) if e else 0
+    return unrank_in_class(m, cfg, (top << e) - offset)

@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,13 @@ from finitary.cli import (
     parse_config,
 )
 from finitary.core import ProbabilityVector
-from finitary.engine import map_range
+from finitary.engine import WindowExhausted, map_range
 from finitary.extractor import PatternConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 F = Fraction
 Q13 = ProbabilityVector.parse("1/3,2/3")
@@ -256,3 +265,127 @@ class TestStdoutDiscipline:
     def test_errors_only_on_stderr(self):
         code, out, err = run_cli(["simulate", "--q", "1/2,1/3"], "0")
         assert code == EXIT_INPUT and out == "" and err
+
+
+class TrickleStdin:
+    """stdin that hands out at most 7 characters per read, cutting tokens
+    anywhere, and refuses to be read whole."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("stdin read whole")
+        piece = self.text[self.pos : self.pos + min(size, 7)]
+        self.pos += len(piece)
+        return piece
+
+    @property
+    def at_eof(self):
+        return self.pos == len(self.text)
+
+
+class WatchingStdout(io.StringIO):
+    """stdout that notes whether stdin had reached its end at the first write."""
+
+    def __init__(self, stdin):
+        super().__init__()
+        self.stdin, self.first_write_at_eof = stdin, None
+
+    def write(self, s):
+        if s and self.first_write_at_eof is None:
+            self.first_write_at_eof = self.stdin.at_eof
+        return super().write(s)
+
+
+def run_trickle(argv, text):
+    stdin = TrickleStdin(text)
+    out, err = WatchingStdout(stdin), io.StringIO()
+    code = main(argv, stdin=stdin, stdout=out, stderr=err)
+    return code, out, err.getvalue()
+
+
+def render(blocks, report):
+    lines = []
+    for blk in blocks:
+        left, right = blk.left_marker, blk.right_extent
+        for i, s in zip(blk.indices, blk.symbols):
+            lines.append(f"{i}\t{s}\t{max(i - left, right - i)}\n" if report else f"{s}\n")
+    return "".join(lines)
+
+
+class TestEncodeStreaming:
+    SHORT = workloads.WORKLOADS["short_blocks_t3"]
+
+    @pytest.mark.parametrize("r", range(8))
+    def test_trickled_input_gives_the_one_shot_output(self, r):
+        argv, data, _ = workloads.make_input(self.SHORT, 7, r, self.SHORT.smoke_size)
+        text = data.decode("ascii")
+        once = run_cli(argv, text)
+        code, out, err = run_trickle(argv, text)
+        assert once[0] == code == EXIT_OK and once[2] == err == ""
+        assert out.getvalue() == once[1] and once[1]
+        # The first block resolves long before the input ends.
+        assert out.first_write_at_eof is False
+
+    def test_tokens_cut_across_pieces(self):
+        # Two-digit symbols and mixed whitespace, cut every 7 characters.
+        rng = np.random.Generator(np.random.PCG64(4))
+        symbols = [int(v) for v in rng.choice([1, 1, 2, 3, 10, 11, 12], size=1500)]
+        seps = rng.choice([" ", "\n", "\t", "  ", "\r\n"], size=len(symbols))
+        text = "".join(f"{s}{sep}" for s, sep in zip(symbols, seps)).rstrip()
+        argv = ["encode", "--a", "12", "--q", "1/3,2/3", "--t", "2", "--report"]
+        expected = map_range(symbols, PatternConfig(12, 2), Q13, 0, len(symbols) - 1)
+        code, out, _ = run_trickle(argv, text)
+        assert code == EXIT_OK and out.getvalue() == render(expected.blocks, True)
+        assert out.getvalue()
+
+    def test_bad_symbol_after_output(self):
+        stream = [int(tok) for tok in make_stream(5, 1500, 3).split()]
+        stream[1200] = 7
+        text = " ".join(map(str, stream))
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3", "--report"]
+        with pytest.raises(ValueError) as whole:
+            map_range(stream, PatternConfig(3, 3), Q13, 0, len(stream) - 1)
+        code, out, err = run_trickle(argv, text)
+        assert code == EXIT_INPUT and err == f"error: {whole.value}\n"
+        assert "position 1200 " in err
+        valid = run_cli(argv, " ".join(map(str, stream[:1200])))[1]
+        assert out.getvalue().endswith("\n") and valid.startswith(out.getvalue())
+        assert out.getvalue()
+
+    def test_window_exhausted_after_output(self):
+        # Blocks that resolve, then a block whose word yields no bits, and
+        # no marker after it: its simulator waits while the input runs on.
+        head = [int(tok) for tok in make_stream(5, 1500, 3).split()]
+        stream = head + [2, 1, 1, 3, 3, 3, 2, 1, 1] + [3] * 1200
+        cap = 1000
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3", "--max-window", str(cap)]
+        fair = ProbabilityVector.parse("1/2,1/2")
+        with pytest.raises(WindowExhausted) as whole:
+            map_range(stream, PatternConfig(3, 3), fair, 0, len(stream) - 1, cap)
+        code, out, err = run_trickle(argv, " ".join(map(str, stream)))
+        assert code == EXIT_WINDOW and err == f"error: {whole.value}\n"
+        seen = int(str(whole.value).split("past index ")[1].split()[0])
+        valid = run_cli(argv, " ".join(map(str, stream[: seen + cap + 1])))
+        assert valid[0] == EXIT_OK
+        assert out.getvalue().endswith("\n") and valid[1].startswith(out.getvalue())
+        assert out.getvalue()
+
+    def test_real_pipe(self):
+        # More than one read of stdin, through an operating-system pipe.
+        symbols = [int(tok) for tok in make_stream(12, 40_000, 3).split()]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        argv = ["encode", "--a", "3", "--q", "1/3,2/3", "--t", "3", "--report"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "finitary.cli", *argv],
+            input=" ".join(map(str, symbols)),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        expected = map_range(symbols, PatternConfig(3, 3), Q13, 0, len(symbols) - 1)
+        assert proc.stdout == render(expected.blocks, True)

@@ -1,8 +1,10 @@
 """Byte identity of ``encode`` on the benchmark corpus.
 
-Runs ``finitary.cli.main`` on the smoke-size, seed-7 inputs of two encode
-workloads and checks each stdout digest against the one recorded in
-``perfbench/expected.json``.  The inputs come from
+Runs ``finitary.cli.main`` on seed-7 inputs of the encode workloads and
+checks each stdout digest against the one recorded in
+``perfbench/expected.json``: the eight smoke-size inputs of ``short_blocks_t3``
+and ``zero_gap_t3``, and the first four full-size inputs of ``selector_t6``,
+whose smoke-size records are one digest repeated.  The inputs come from
 ``perfbench/workloads.make_input``; nothing under ``perfbench/`` is written.
 """
 
@@ -25,13 +27,22 @@ RECORDS = json.loads((BENCH / "expected.json").read_text())
 SEED = 7
 
 
-@pytest.mark.parametrize("name", ["short_blocks_t3", "zero_gap_t3"])
-def test_stdout_matches_recorded_digests(name):
+@pytest.mark.parametrize(
+    "name,size,inputs",
+    [
+        pytest.param("short_blocks_t3", None, 8, id="short_blocks_t3"),
+        pytest.param("zero_gap_t3", None, 8, id="zero_gap_t3"),
+        pytest.param("selector_t6", 8000, 4, id="selector_t6"),
+    ],
+)
+def test_stdout_matches_recorded_digests(name, size, inputs):
     w = workloads.WORKLOADS[name]
     assert RECORDS[name]["params"] == w.params()
-    recorded = RECORDS[name]["digests"][f"{w.smoke_size}/{SEED}"]
+    size = size or w.smoke_size
+    recorded = RECORDS[name]["digests"][f"{size}/{SEED}"][:inputs]
+    assert len(recorded) == inputs
     for r, (digest, _) in enumerate(recorded):
-        argv, data, _ = workloads.make_input(w, SEED, r, w.smoke_size)
+        argv, data, _ = workloads.make_input(w, SEED, r, size)
         out = io.StringIO()
         code = main(argv, io.StringIO(data.decode("ascii")), out, io.StringIO())
         assert code == EXIT_OK

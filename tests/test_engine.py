@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from finitary.core import ProbabilityVector, check_word
 from finitary.engine import (
+    DEFAULT_MAX_WINDOW,
     BlockRecord,
+    InvariantViolation,
     UndeterminedIndex,
     WindowExhausted,
+    _Sweep,
     blocks_from_markers,
     certified_radius,
+    encode_stream,
     map_range,
     run_schedule,
     scan_markers,
@@ -61,6 +66,28 @@ class TestScanMarkers:
             stream = [int(v) for v in rng.integers(1, 3, size=400)]
             marks = scan_markers(stream, PatternConfig(2, t))
             assert all(b - a >= t for a, b in zip(marks, marks[1:]))
+
+    def test_matches_definitional_scan(self):
+        # Every start where 2 and then t-1 ones fit, checked symbol by symbol.
+        def definitional(x, t):
+            pattern = [2] + [1] * (t - 1)
+            return [p for p in range(len(x) - t + 1) if list(x[p : p + t]) == pattern]
+
+        rng = np.random.Generator(np.random.PCG64(3))
+        for t in range(1, 9):
+            cfg = PatternConfig(300, t)
+            for size in (0, 1, t - 1, t, t + 1, 50, 400):
+                # Mostly ones and twos, so that long markers occur, with
+                # symbols above 255 mixed in.
+                draws = rng.choice([1, 1, 1, 2, 3, 255, 256, 258, 299], size=size)
+                stream = [int(v) for v in draws]
+                for start in range(0, size - 2 * t, 97):
+                    stream[start : start + 2 * t] = [2] + [1] * (2 * t - 1)
+                expected = definitional(stream, t)
+                assert scan_markers(stream, cfg) == expected
+                assert scan_markers(tuple(stream), cfg) == expected
+                assert scan_markers(np.array(stream, dtype=np.int64), cfg) == expected
+            assert scan_markers([2] + [1] * (t - 1), cfg) == [0]
 
 
 class TestSegmentBlocks:
@@ -439,7 +466,8 @@ class TestSourceUniversality:
     def test_no_source_distribution_parameter(self):
         import inspect
 
-        for fn in (map_range, run_schedule, blocks_from_markers, scan_markers):
+        fns = (map_range, encode_stream, run_schedule, blocks_from_markers, scan_markers)
+        for fn in fns:
             names = set(inspect.signature(fn).parameters)
             assert not names & {"p", "source", "source_distribution"}
 
@@ -455,3 +483,137 @@ class TestSourceUniversality:
         assert res_a.outputs == res_b.outputs
         assert res_a.reports == res_b.reports
         assert res_a.undetermined == res_b.undetermined
+
+
+@st.composite
+def streams(draw, a, t):
+    """A seeded stream of markers (drawn as 0) and symbols (drawn as
+    1..10a), so that blocks are about 10a symbols long at any t."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    pieces = rng.integers(0, 10 * a + 1, size=rng.integers(1, 500)).tolist()
+    marker = [2] + [1] * (t - 1)
+    return [s for v in pieces for s in (marker if v == 0 else [(v - 1) % a + 1])]
+
+
+@st.composite
+def chunked(draw, stream):
+    """Cut points that split the stream anywhere, down to single symbols."""
+    n = len(stream)
+    if draw(st.booleans()):
+        cuts = list(range(1, n))
+    else:
+        cuts = sorted(set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=12))))
+        cuts = [c for c in cuts if c < n]
+    return [stream[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+
+
+STREAM_QS = ["1/2,1/2", "1/3,2/3", "1/4,1/4,1/2"]
+
+
+class TestEncodeStream:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.integers(1, 6), st.sampled_from(STREAM_QS))
+    def test_matches_map_range_under_any_chunking(self, data, a, t, q_text):
+        q = ProbabilityVector.parse(q_text)
+        cfg = PatternConfig(a, t)
+        stream = data.draw(streams(a, t))
+        chunks = data.draw(chunked(stream))
+        # Half the draws take the default cap, which small streams never
+        # exhaust, so that both outcomes are common.
+        caps = st.sampled_from([0, 1, t - 1, t, 30, 120])
+        cap = data.draw(st.one_of(caps, st.just(DEFAULT_MAX_WINDOW)))
+        n = len(stream)
+        got = []
+        try:
+            expected = map_range(stream, cfg, q, 0, n - 1, cap).blocks
+        except WindowExhausted as exc:
+            with pytest.raises(WindowExhausted) as raised:
+                got.extend(encode_stream(chunks, cfg, q, cap))
+            assert str(raised.value) == str(exc)
+            for record in got:
+                lo, hi = record.left_marker + 1, record.indices[-1]
+                assert map_range(stream, cfg, q, lo, hi, cap).blocks == [record]
+        else:
+            assert list(encode_stream(chunks, cfg, q, cap)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.integers(1, 6), st.sampled_from(STREAM_QS))
+    def test_bad_symbol(self, data, a, t, q_text):
+        # A bad symbol raises map_range's ValueError, after the symbols
+        # before it have been worked through: the error is WindowExhausted
+        # exactly when that prefix alone gives it.
+        q = ProbabilityVector.parse(q_text)
+        cfg = PatternConfig(a, t)
+        stream = data.draw(streams(a, t))
+        b = data.draw(st.integers(0, len(stream) - 1))
+        stream[b] = data.draw(st.sampled_from([0, a + 1, -1, 300]))
+        chunks = data.draw(chunked(stream))
+        caps = st.sampled_from([0, t, 30, 120])
+        cap = data.draw(st.one_of(caps, st.just(DEFAULT_MAX_WINDOW)))
+        with pytest.raises(ValueError) as whole:
+            map_range(stream, cfg, q, 0, len(stream) - 1, cap)
+        prefix = stream[:b]
+        got = []
+        try:
+            expected = map_range(prefix, cfg, q, 0, b - 1, cap).blocks if b else []
+        except WindowExhausted as exc:
+            assert cap != DEFAULT_MAX_WINDOW
+            with pytest.raises(WindowExhausted, match=f"^{re.escape(str(exc))}$"):
+                got.extend(encode_stream(chunks, cfg, q, cap))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(whole.value))}$"):
+                got.extend(encode_stream(chunks, cfg, q, cap))
+            assert got == expected[: len(got)]
+
+    def test_records_leave_as_soon_as_they_are_final(self):
+        stream = random_stream(5, 3000, 3)
+        cfg, n = PatternConfig(3, 3), len(stream)
+        read = 0
+
+        def chunks():
+            nonlocal read
+            for read in range(1, n + 1):
+                yield stream[read - 1 : read]
+
+        left = [(read, record) for record in encode_stream(chunks(), cfg, FAIR)]
+        assert [r for _, r in left] == map_range(stream, cfg, FAIR, 0, n - 1).blocks
+        # Each record was determined by the symbols read when it left, and
+        # the first left at the symbol that determined it.
+        for m, record in left[::10]:
+            assert record in map_range(stream[:m], cfg, FAIR, 0, m - 1).blocks
+        m, first = left[0]
+        assert first not in map_range(stream[: m - 1], cfg, FAIR, 0, m - 2).blocks
+        assert m < n // 10
+
+    def test_state_does_not_grow_with_the_stream(self):
+        # 100k symbols in chunks of 2,500: the symbols kept are the chunk
+        # and the open block, and few blocks are ever running at once.
+        rng = np.random.Generator(np.random.PCG64(11))
+
+        def chunks():
+            for _ in range(40):
+                yield [int(v) for v in rng.integers(1, 4, size=2500)]
+
+        stream = encode_stream(chunks(), PatternConfig(3, 3), FAIR)
+        kept = running = 0
+        for _ in stream:
+            state = stream.gi_frame.f_locals
+            kept = max(kept, len(state["buf"]))
+            running = max(running, len(state["markers"]))
+        assert kept < 2500 + 400 and running < 200
+
+    def test_sweep_checks_every_read(self):
+        # Rewinding the sweep makes the next read a second read of a
+        # position; rewinding it further, past what the simulator below
+        # the new one has read, makes that simulator read out of order.
+        sweep = _Sweep(FAIR)
+        assert list(sweep.feed(0, 40, [0, 1, 1])) == []
+        sweep.pos = 0
+        with pytest.raises(InvariantViolation, match="consumed twice"):
+            list(sweep.feed(1, 40, [0]))
+        sweep = _Sweep(FAIR)
+        assert list(sweep.feed(0, 40, [0] * 5)) == []
+        sweep.pos, sweep.last = 0, -1
+        with pytest.raises(InvariantViolation, match="simulator 0 read out of order"):
+            # Simulator 1 draws its one symbol from 0, 1, 0 and pops.
+            list(sweep.feed(1, 1, [0, 1, 0, 0]))
