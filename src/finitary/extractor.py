@@ -20,6 +20,12 @@ small exact integers, as binary splitting does for a rational series
 term and window.  Shorter terms are updated one symbol at a time.  Nothing
 is cached between calls, so memory is bounded by the longest word in flight.
 
+The walk yields its running rank at every step, and the final rank lies
+between the running rank and that plus the sum of the terms, less one.
+So a caller that needs only the bit count (``_bit_count``) stops as soon as
+that interval fits inside one power-of-two sub-block, which is usually a
+few symbols in.
+
 Pattern containment is *full* containment: an occurrence must fit entirely
 inside the word, including one ending at its last position.
 """
@@ -308,29 +314,43 @@ def _window(
     return added, out
 
 
-def _walk(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
-    """Rank, class size and count vector of a validated word.
+def _walk(
+    word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
+) -> Iterator[int]:
+    """Yield the running rank along the rank walk of a validated word.
 
-    One left-to-right pass over the terms of the suffix counts: each symbol
-    adds the completions that start below it, then leaves the suffix.  While
-    the terms have more than ``_WIDE_BITS`` bits, the symbols go
-    ``_WINDOW`` at a time through ``_window``; after that, one at a time.
-    Only the last term can reach zero, and then it is dropped.  Raises
-    ValueError when the word contains the pattern.
+    ``counts`` is the word's count vector and ``terms`` its ``_terms``,
+    which the walk updates in place as the suffix shrinks.  One
+    left-to-right pass: each symbol adds the completions that start below
+    it, then leaves the suffix.  While the terms have more than
+    ``_WIDE_BITS`` bits, the symbols go ``_WINDOW`` at a time through
+    ``_window``; after that, one at a time.  Only the last term can reach
+    zero, and then it is dropped.  The walk yields at the start, after each
+    window and after each symbol; it yields the rank alone and keeps the
+    caller's ``terms`` current, so a caller that runs it to the end pays
+    little per step.  Raises ValueError when the word contains the pattern.
+
+    At every yield the word's final rank lies in ``[rank, rank + sum(terms)
+    - 1]``.  Let R be the rank of the first word in the class with the
+    prefix walked so far, and p the pending count of a 2 whose run of ones
+    is still open at the prefix's end (0 if there is none).  Each 2 takes
+    its pending count off up front, so ``rank`` is R - p <= R.  The words
+    with the prefix are the pattern-free suffixes, ``sum(terms)`` of them,
+    less the p that would finish the open pattern, so the final rank is at
+    most R + sum(terms) - p - 1.  The last yield leaves ``terms == [1]``
+    and gives the exact rank.
     """
-    t = cfg.marker_len
     step = t - 1
-    m = [word.count(c) for c in range(1, cfg.alphabet_size + 1)]
-    counts = tuple(m)
+    m = list(counts)
     if t == 1 and m[1]:
         raise ValueError("word contains the marker pattern")
-    terms = _terms(counts, t)
-    size = sum(terms)
-    steps = _steps(word, m, t)
     rank = 1
+    yield rank
+    steps = _steps(word, m, t)
     while terms[0].bit_length() > _WIDE_BITS:
-        added, terms = _window(terms, list(islice(steps, _WINDOW)), step)
+        added, terms[:] = _window(terms, list(islice(steps, _WINDOW)), step)
         rank += added
+        yield rank
     for y, x, shrink, c, dc in steps:
         for r, u in enumerate(terms):
             rank += u * c // y
@@ -342,13 +362,24 @@ def _walk(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ..
             y -= step
             x -= shrink
             c -= dc
+        yield rank
+
+
+def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
+    """Rank, class size and count vector of a validated word: the walk run
+    to its end."""
+    counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
+    terms = _terms(counts, cfg.marker_len)
+    size = sum(terms)
+    for rank in _walk(word, counts, terms, cfg.marker_len):
+        pass
     return rank, size, counts
 
 
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
     """1-based lexicographic rank of ``word`` among pattern-free words with
     the same count vector."""
-    return _walk(check_word(word, cfg.alphabet_size), cfg)[0]
+    return _rank(check_word(word, cfg.alphabet_size), cfg)[0]
 
 
 def unrank_in_class(
@@ -456,10 +487,35 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
 
 def _extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     """``extract`` for a word that ``check_word`` has already validated."""
-    rank, size, m = _walk(word, cfg)
+    rank, size, m = _rank(word, cfg)
     e, offset = _sub_block(size, rank)
     bits = tuple(map(int, format(offset, f"0{e}b"))) if e else ()
     return ExtractionTriple(e, bits, class_index(m))
+
+
+def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
+    """``_extract(word, cfg).num_bits``, ranking only as far as it takes.
+
+    The walk stops at the first step whose rank interval lies inside one
+    power-of-two sub-block.  It keeps the sub-block that holds the
+    interval's low end, which only grows: 2^e ranks up to ``top``.  A class
+    size that is a power of two settles at the start.  The word must be
+    validated and pattern-free: a pattern after the stop goes unnoticed.
+    """
+    counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
+    terms = _terms(counts, cfg.marker_len)
+    rest = sum(terms)
+    e = rest.bit_length() - 1
+    top = 1 << e
+    walk = _walk(word, counts, terms, cfg.marker_len)
+    rank = next(walk)
+    while rank + sum(terms) - 1 > top:
+        rank = next(walk)
+        while rank > top:
+            rest ^= 1 << e
+            e = rest.bit_length() - 1
+            top += 1 << e
+    return e
 
 
 def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:

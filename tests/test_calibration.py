@@ -5,7 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from finitary import calibration
 from finitary.calibration import (
+    _chi2_sf,
     certify_marker_length,
     chi_square,
     expected_block_length,
@@ -17,6 +19,7 @@ from finitary.calibration import (
 )
 from finitary.core import ProbabilityVector
 from finitary.dyadic import exact_tail
+from finitary.extractor import _extract
 
 F = Fraction
 FAIR = ProbabilityVector.parse("1/2,1/2")
@@ -80,6 +83,17 @@ class TestCertify:
         large = certify_marker_length(UNIF3, FAIR, 4, 3000, seed=5)
         assert small.status == "pass" and large.status == "pass"
 
+    @pytest.mark.parametrize(
+        "p,t,trials,seed",
+        [(ProbabilityVector.parse("1/2,1/4,1/4"), 6, 300, 168), (UNIF3, 4, 1000, 11)],
+    )
+    def test_report_equals_one_from_full_extraction(self, monkeypatch, p, t, trials, seed):
+        # Stopping each rank walk early must leave every field as it was
+        # when each block was extracted to its last symbol.
+        rep = certify_marker_length(p, FAIR, t, trials, seed)
+        monkeypatch.setattr(calibration, "_bit_count", lambda w, cfg: _extract(w, cfg).num_bits)
+        assert rep == certify_marker_length(p, FAIR, t, trials, seed)
+
 
 class TestSelectMarkerLength:
     def test_smaller_gap_never_smaller_t(self):
@@ -135,6 +149,15 @@ class TestChiSquare:
             mpmath.gammainc(rep.df / 2, rep.statistic / 2, mpmath.inf, regularized=True)
         )
         assert rep.p_value == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("df", range(1, 12))
+    def test_closed_form_matches_mpmath(self, df):
+        with mpmath.workdps(30):
+            for stat in [k / 4 for k in range(601)] + [0.01, 1e-9, 149.99]:
+                oracle = mpmath.gammainc(
+                    mpmath.mpf(df) / 2, mpmath.mpf(stat) / 2, mpmath.inf, regularized=True
+                )
+                assert _chi2_sf(stat, df) == pytest.approx(float(oracle), rel=1e-12, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,45 @@ class TestAnalyzeAndTails:
         assert code == EXIT_INPUT and "degenerate" in err
 
 
+class TestRuntimeDependencies:
+    # scipy is a test extra only: no command may need it at run time.
+    NO_SCIPY = "import sys; sys.modules['scipy'] = None; from finitary.cli import entry; entry()"
+
+    def run_without_scipy(self, argv, stdin_text=""):
+        return subprocess.run(
+            [sys.executable, "-c", self.NO_SCIPY, *argv],
+            input=stdin_text,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=120,
+        )
+
+    def test_scipy_is_blocked_and_not_imported(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        blocked = "import sys; sys.modules['scipy'] = None; import scipy.special"
+        unused = "import sys, finitary.cli; sys.exit(any(m.startswith('scipy') for m in sys.modules))"
+        for code, ok in [(blocked, False), (unused, True)]:
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (proc.returncode == 0) == ok, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,stdin_text",
+        [
+            (["analyze", "--q", "1/2,1/2"], " ".join(["1"] * 130 + ["2"] * 70)),
+            (["analyze", "--q", "1/6,1/3,1/2"], "1 2 3 3 2 3 1 3 3 2 2 3"),
+            (["certify-t", "--p", "1/2,1/4,1/4", "--q", "1/2,1/2", "--t", "6",
+              "--trials", "20", "--seed", "7"], ""),
+        ],
+    )
+    def test_commands_run_without_scipy(self, argv, stdin_text):
+        proc = self.run_without_scipy(argv, stdin_text)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv, stdin_text)
+        assert proc.returncode == EXIT_OK and proc.stdout
+
+
 class TestStdoutDiscipline:
     def test_errors_only_on_stderr(self):
         code, out, err = run_cli(["simulate", "--q", "1/2,1/3"], "0")

@@ -1,11 +1,13 @@
-"""Byte identity of ``encode`` on the benchmark corpus.
+"""Byte identity of ``encode`` and ``certify-t`` on the benchmark corpus.
 
-Runs ``finitary.cli.main`` on seed-7 inputs of the encode workloads and
+Runs ``finitary.cli.main`` on seed-7 inputs of the benchmark workloads and
 checks each stdout digest against the one recorded in
 ``perfbench/expected.json``: the eight smoke-size inputs of ``short_blocks_t3``
-and ``zero_gap_t3``, and the first four full-size inputs of ``selector_t6``,
-whose smoke-size records are one digest repeated.  The inputs come from
-``perfbench/workloads.make_input``; nothing under ``perfbench/`` is written.
+and ``zero_gap_t3``, the first four full-size inputs of ``selector_t6``,
+whose smoke-size records are one digest repeated, and both the eight
+smoke-size and the first four full-size inputs of ``certify_t6``.  The
+inputs come from ``perfbench/workloads.make_input``; nothing under
+``perfbench/`` is written.
 """
 
 import hashlib
@@ -33,6 +35,8 @@ SEED = 7
         pytest.param("short_blocks_t3", None, 8, id="short_blocks_t3"),
         pytest.param("zero_gap_t3", None, 8, id="zero_gap_t3"),
         pytest.param("selector_t6", 8000, 4, id="selector_t6"),
+        pytest.param("certify_t6", None, 8, id="certify_t6-smoke"),
+        pytest.param("certify_t6", 500, 4, id="certify_t6"),
     ],
 )
 def test_stdout_matches_recorded_digests(name, size, inputs):

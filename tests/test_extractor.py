@@ -11,9 +11,13 @@ from finitary import extractor
 from finitary.extractor import (
     ExtractionTriple,
     PatternConfig,
+    _bit_count,
     _exact,
+    _extract,
     _free_count,
+    _sub_block,
     _terms,
+    _walk,
     class_from_index,
     class_index,
     class_size,
@@ -357,6 +361,96 @@ class TestWindowedWalk:
         cfg = PatternConfig(3, 8)
         w = _random_free_word(random.Random(3000), 3, 8, 3000)
         assert invert(len(w), cfg, extract(w, cfg)) == w
+
+
+def _with_runs_across_windows(rng, a, t, n):
+    """A pattern-free word of length ``n`` in which runs of a 2 and its ones
+    cross the first window boundaries.  ``a`` must be at least 3."""
+    size = extractor._WINDOW
+    while True:
+        w = _random_free_word(rng, a, t, n)
+        for k in range(1, min(n // size, 6)):
+            ones = rng.randrange(t - 1)
+            at = k * size - 1 - rng.randrange(ones + 1)
+            w = _splice(w, at, (2,) + (1,) * ones + (3,))
+        if is_pattern_free(w, PatternConfig(a, t)):
+            return w
+
+
+class TestEarlyStop:
+    """``_bit_count`` stops the rank walk once the rank's sub-block is certain."""
+
+    @pytest.mark.parametrize("wide", [None, 1])
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_every_small_word(self, monkeypatch, a, wide):
+        # The expected count comes from the lexicographic position alone.
+        # With every term wide the walk also stops after windows.
+        if wide is not None:
+            monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
+        for t in range(1, 6):
+            cfg = PatternConfig(a, t)
+            for n in range(8 if a < 4 else 6):
+                by_class = {}
+                for w in brute_pattern_free(a, t, n):
+                    by_class.setdefault(count_vector(w, a), []).append(w)
+                for words in by_class.values():
+                    for rank, w in enumerate(sorted(words), start=1):
+                        e = _sub_block(len(words), rank)[0]
+                        assert _bit_count(w, cfg) == e == _extract(w, cfg).num_bits
+
+    @pytest.mark.parametrize("a,t", [(3, 3), (3, 6), (4, 8)])
+    def test_every_interval_holds_the_rank(self, monkeypatch, a, t):
+        rng = random.Random(100 * a + t)
+        cfg = PatternConfig(a, t)
+        default = extractor._WIDE_BITS
+        for n in (50, 900, *rng.sample(range(51, 900), 4)):
+            w = _with_runs_across_windows(rng, a, t, n)
+            final = naive_rank_in_class(w, cfg)
+            counts = count_vector(w, a)
+            for wide in (default, 1):
+                monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
+                terms = _terms(counts, t)
+                seen = [(rank, sum(terms), list(terms)) for rank in _walk(w, counts, terms, t)]
+                for rank, total, _ in seen:
+                    assert rank <= final <= rank + total - 1
+                assert seen[-1] == (final, 1, [1])
+                # The walk took windows while the terms were wide.
+                assert len(seen) < n + 1 or _terms(counts, t)[0].bit_length() <= wide
+
+    def test_stops_a_few_symbols_in(self, monkeypatch):
+        # The sub-block of a typical word is certain after a few symbols; a
+        # walk that could only stop at the end would draw every symbol.
+        drawn = [0]
+        steps = extractor._steps
+
+        def counting(word, m, t):
+            for step in steps(word, m, t):
+                drawn[0] += 1
+                yield step
+
+        monkeypatch.setattr(extractor, "_steps", counting)
+        for a, t in [(2, 3), (3, 6), (4, 8)]:
+            rng = random.Random(5)
+            cfg = PatternConfig(a, t)
+            words = [_random_free_word(rng, a, t, rng.randrange(100, 300)) for _ in range(100)]
+            drawn[0] = 0
+            for w in words:
+                _bit_count(w, cfg)
+            assert drawn[0] < sum(map(len, words)) // 4
+
+    @pytest.mark.parametrize(
+        "a,t,m", [(2, 3, (0, 0)), (2, 3, (2, 5)), (3, 2, (1, 1, 3)), (3, 4, (3, 3, 1))]
+    )
+    def test_power_of_two_class_takes_no_step(self, monkeypatch, a, t, m):
+        def no_step(*args):
+            raise AssertionError("the walk took a step")
+
+        monkeypatch.setattr(extractor, "_steps", no_step)
+        cfg = PatternConfig(a, t)
+        words = [w for w in brute_pattern_free(a, t, sum(m)) if count_vector(w, a) == m]
+        assert len(words) == class_size(m, cfg) == 1 << (len(words).bit_length() - 1)
+        for w in words:
+            assert _bit_count(w, cfg) == len(words).bit_length() - 1
 
 
 def test_extract_keeps_no_table_between_calls():
