@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import calibration, dyadic, engine
-from .core import ProbabilityVector, parse_bits, parse_rational
+from .core import ProbabilityVector, parse_bits, parse_rational, parse_word
 from .extractor import PatternConfig, extract
 
 EXIT_OK = 0
@@ -267,8 +267,7 @@ def _cmd_simulate(args, stdin, stdout) -> int:
 
 def _cmd_extract(args, stdin, stdout) -> int:
     cfg = PatternConfig(args.a, args.t)
-    word = tuple(int(tok) for tok in args.word.split())
-    triple = extract(word, cfg)
+    triple = extract(parse_word(args.word, args.a), cfg)
     bits = "".join(str(b) for b in triple.bits)
     stdout.write(f"N={triple.num_bits} F={bits} G={triple.class_id}\n")
     return EXIT_OK
@@ -332,13 +331,11 @@ def _cmd_verify_bounds(args, stdin, stdout) -> int:
 
 def _cmd_analyze(args, stdin, stdout) -> int:
     q = ProbabilityVector.parse(args.q)
-    symbols = [int(tok) for tok in stdin.read().split()]
+    symbols = parse_word(stdin.read(), q.size)
     if not symbols:
         raise ValueError("empty stream")
     counts = [0] * q.size
     for s in symbols:
-        if not 1 <= s <= q.size:
-            raise ValueError(f"symbol {s} outside 1..{q.size}")
         counts[s - 1] += 1
     report = calibration.chi_square(counts, q)
     _report(

@@ -87,17 +87,18 @@ class BlockRecord:
 def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
     """Positions (0-based) where the full marker pattern fits and matches.
 
-    Each symbol becomes one byte, symbols above 255 becoming 255, which is
-    neither 1 nor 2; a sequence other than a list or tuple (a numpy array,
-    say) is read by value, not as a buffer.  The pattern cannot overlap
-    itself, so the non-overlapping matches of a regular expression are all
-    of its occurrences.
+    Each symbol becomes one byte.  Any int is read: when some symbol lies
+    outside 0..255 (a negative one, say), every symbol other than 1 and 2
+    becomes the byte 0, which is neither.  A sequence other than a list or
+    tuple (a numpy array, say) is read by value, not as a buffer.  The
+    pattern cannot overlap itself, so the non-overlapping matches of a
+    regular expression are all of its occurrences.
     """
     symbols = segment if isinstance(segment, (list, tuple)) else list(segment)
     try:
         data = bytes(symbols)
-    except ValueError:  # a symbol above 255
-        data = bytes(min(s, 255) for s in symbols)
+    except ValueError:  # a symbol outside 0..255
+        data = bytes(s if s == 1 or s == 2 else 0 for s in symbols)
     pattern = b"\x02" + b"\x01" * (cfg.marker_len - 1)
     return [m.start() for m in re.finditer(pattern, data)]
 

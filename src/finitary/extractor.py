@@ -26,6 +26,10 @@ So a caller that needs only the bit count (``_bit_count``) stops as soon as
 that interval fits inside one power-of-two sub-block, which is usually a
 few symbols in.
 
+The inverse, ``unrank_in_class``, rebuilds the word from the same terms
+with one exact division per term for each candidate symbol it tries.  It
+shares no code with the rank walk, so a round trip checks one by the other.
+
 Pattern containment is *full* containment: an occurrence must fit entirely
 inside the word, including one ending at its last position.
 """
@@ -177,67 +181,6 @@ def _free_count(m: tuple[int, ...], t: int) -> int:
     return sum(_terms(m, t))
 
 
-def _below(
-    terms: list[int], m: list[int], n: int, t: int, sym: int, pending: int
-) -> int:
-    """Pattern-free completions of the suffix that start below ``sym``.
-
-    ``terms`` are the signed terms of the suffix counts ``m`` (length ``n``).
-    Putting symbol c first turns ``T_r`` into ``T_r * x_c / y_r``, with x_c
-    its count in the r-th term (``x_r`` for c = 1), so every candidate
-    shares the divisor and each quotient is exact.  For c = 2 the
-    completions that finish a new pattern are the r+1 term in disguise, and
-    the two collapse to ``T_r * m_2 / y_r``.  For c = 1 the ``pending``
-    completions that finish a pattern already begun are left out.
-    """
-    step = t - 1 or 1  # t == 1 leaves only the term r = 0
-    base = sum(m[1 : sym - 1])
-    total = -pending
-    x, y = m[0], n
-    for u in terms:
-        total += u * (base + x) // y
-        x -= step
-        y -= step
-    return total
-
-
-def _pending(terms: list[int], n: int, t: int) -> int:
-    """Completions that finish the pattern begun by the suffix's first 2.
-
-    They are the words after that 2 that start with t-1 ones, so they number
-    ``F(m - e_2 - (t-1) e_1)`` for suffix counts ``m``.  Its r-th term is
-    the r+1 term of ``m`` times ``(r+1) / y_{r+1}``, so the count is
-    ``-sum(r * terms[r] / y_r)``.  A run of ones after the 2 takes ones from
-    the suffix and from the pattern alike, so the count holds until the run
-    ends.
-    """
-    total = 0
-    for r in range(1, len(terms)):
-        total -= terms[r] * r // (n - r * (t - 1))
-    return total
-
-
-def _drop(terms: list[int], m: list[int], n: int, t: int, sym: int) -> list[int]:
-    """Terms of the suffix without its first symbol ``sym``; updates ``m``.
-
-    ``T_r`` becomes ``T_r * x / y_r``, with x the count of ``sym`` in the
-    r-th term.  Only the last term can reach zero, and then it is dropped.
-    """
-    step = t - 1 or 1
-    shrink = step if sym == 1 else 1 if sym == 2 else 0
-    x, y = m[sym - 1], n
-    m[sym - 1] -= 1
-    out = []
-    for u in terms:
-        u = u * x // y
-        if not u:
-            break
-        out.append(u)
-        x -= shrink
-        y -= step
-    return out
-
-
 # Terms of more bits than this take their symbols a window at a time.  Keep
 # it at least 1: the empty suffix leaves one term of 1, which ends the windows.
 _WIDE_BITS = 512
@@ -249,11 +192,12 @@ def _steps(word: SymbolWord, m: list[int], t: int) -> Iterator[tuple[int, ...]]:
 
     ``m`` holds the suffix counts and is consumed with the word.  For the
     r-th term the symbol adds ``T_r * (c - r*dc) / y_r`` to the rank (the
-    completions ``_below`` counts) and then leaves ``T_r * (x - r*shrink)
+    completions that start below it) and then leaves ``T_r * (x - r*shrink)
     / y_r``, with ``y_r = y - r(t-1)``; every quotient is exact.
 
-    ``_below`` takes the ``_pending`` count of a 2 off at the symbol that
-    ends the 2's run of ones.  Its r-th part is ``T_r * r / y_r`` at the 2,
+    Counting the completions below each symbol, as ``unrank_in_class``
+    does, takes the pending count of a 2 off at the symbol that ends the
+    2's run of ones.  Its r-th part is ``T_r * r / y_r`` at the 2,
     so the 2 adds it up front instead, through a ``dc`` one less.  A last
     2 whose run reaches the end of the word is never ended, but then the
     suffix at the 2 holds fewer than t-1 ones, no term beyond r = 0 is left
@@ -385,34 +329,50 @@ def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
 def unrank_in_class(
     m: tuple[int, ...], cfg: PatternConfig, rank: int
 ) -> SymbolWord:
-    """Inverse of rank_in_class on the class with count vector ``m``."""
+    """Inverse of rank_in_class on the class with count vector ``m``.
+
+    One pass over the positions with the signed ``_terms`` of the suffix.
+    Candidate c's row is ``T_r * k / y_r``, exact, with ``k = x_r`` for
+    c = 1 and ``k = m_c`` otherwise; for c = 2 that counts the 2 with its r
+    marked copies, so the rows sum to the terms.  A candidate's count is its
+    row's sum; c = 1 also loses the ``pending`` completions that would
+    finish an open 2's pattern.  The chosen row, less a dead last term, is
+    the next terms.  A chosen 2 takes the row ``T_r * (m_2 - r) / y_r``
+    instead, and ``pending`` becomes that row's sum less the 2's count,
+    ``-sum(T_r * r / y_r)``.  It holds through the 2's run of ones, which a
+    symbol above 2 ends.  The pass never calls the rank walk.
+    """
     _check_counts(m)
     if len(m) != cfg.alphabet_size:
         raise ValueError("count vector length does not match alphabet size")
-    t = cfg.marker_len
-    terms = _terms(tuple(m), t)
+    step = cfg.marker_len - 1
+    terms = _terms(tuple(m), cfg.marker_len)
     total = sum(terms)
     if not 1 <= rank <= total:
         raise ValueError(f"rank {rank} outside 1..{total}")
     counts = list(m)
-    state = pending = 0
+    pending = 0
     word: list[int] = []
-    remaining = rank
     for n in range(sum(m), 0, -1):
-        below = 0
-        for c in range(1, cfg.alphabet_size + 1):
-            upto = _below(terms, counts, n, t, c + 1, pending if state else 0)
-            if remaining <= upto:
+        for c, k in enumerate(counts, start=1):
+            if not k:
+                continue
+            shrink = step if c == 1 else 0
+            row = [u * (k - r * shrink) // (n - r * step) for r, u in enumerate(terms)]
+            count = sum(row) - (pending if c == 1 else 0)
+            if rank <= count:
                 break
-            below = upto
+            rank -= count
         else:  # pragma: no cover - rank was validated above
             raise AssertionError("unrank walk exhausted the alphabet")
-        remaining -= below
         word.append(c)
+        counts[c - 1] -= 1
         if c == 2:
-            pending = _pending(terms, n, t)
-        terms = _drop(terms, counts, n, t, c)
-        state = _advance(state, c)
+            row = [u * (k - r) // (n - r * step) for r, u in enumerate(terms)]
+            pending = sum(row) - count
+        elif c > 2:
+            pending = 0
+        terms = row if row[-1] else row[:-1]
     return tuple(word)
 
 

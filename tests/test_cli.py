@@ -89,6 +89,10 @@ class TestExtractCommand:
         code, out, err = run_cli(["extract", "--a", "2", "--t", "3", "--word", "2 1 1"])
         assert code == EXIT_INPUT and out == "" and "error" in err
 
+    def test_malformed_word_is_input_error(self):
+        code, out, err = run_cli(["extract", "--a", "2", "--t", "3", "--word", "1 x"])
+        assert code == EXIT_INPUT and out == "" and "malformed symbol stream" in err
+
 
 class TestSimulateCommand:
     def test_single_symbol(self):
@@ -247,6 +251,11 @@ class TestAnalyzeAndTails:
         stream = " ".join(["1"] * 200 + ["2"] * 40)
         code, out, _ = run_cli(["analyze", "--q", "1/2,1/2", "--alpha", "0.001"], stream)
         assert code == EXIT_VERIFY
+
+    def test_analyze_rejects_symbol_outside_alphabet(self):
+        code, out, err = run_cli(["analyze", "--q", "1/2,1/2"], "1 2 7")
+        assert code == EXIT_INPUT and not out
+        assert "symbol 7 at position 2 outside 1..2" in err
 
     def test_tails_geometric(self):
         rng = np.random.Generator(np.random.PCG64(3))

@@ -78,8 +78,8 @@ class TestScanMarkers:
             cfg = PatternConfig(300, t)
             for size in (0, 1, t - 1, t, t + 1, 50, 400):
                 # Mostly ones and twos, so that long markers occur, with
-                # symbols above 255 mixed in.
-                draws = rng.choice([1, 1, 1, 2, 3, 255, 256, 258, 299], size=size)
+                # symbols below 1 and above 255 mixed in.
+                draws = rng.choice([1, 1, 1, 2, 3, 255, 256, 258, 299, 0, -1], size=size)
                 stream = [int(v) for v in draws]
                 for start in range(0, size - 2 * t, 97):
                     stream[start : start + 2 * t] = [2] + [1] * (2 * t - 1)

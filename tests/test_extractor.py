@@ -274,6 +274,27 @@ class TestAgainstNaiveRanker:
             assert naive_unrank_in_class(m, cfg, rank) == w
             assert invert(n, cfg, extract(w, cfg)) == w
 
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_unrank_is_independent_of_the_rank_walk(self, monkeypatch, a):
+        # Round trips check the rank walk against unrank_in_class, so the
+        # unrank must not take any part of the walk.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank walk was called")
+
+        for name in ("_walk", "_steps", "_window", "_rank"):
+            monkeypatch.setattr(extractor, name, refuse)
+        with pytest.raises(AssertionError, match="rank walk"):
+            rank_in_class((1, 2, 1), PatternConfig(a, 3))
+        for t in range(1, 5):
+            cfg = PatternConfig(a, t)
+            for n in range(7):
+                by_class = {}
+                for w in brute_pattern_free(a, t, n):
+                    by_class.setdefault(count_vector(w, a), []).append(w)
+                for m, words in by_class.items():
+                    for rank, w in enumerate(sorted(words), start=1):
+                        assert unrank_in_class(m, cfg, rank) == w
+
 
 def _splice(word, at, piece):
     return word[:at] + tuple(piece) + word[at + len(piece) :]
