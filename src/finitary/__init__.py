@@ -39,17 +39,13 @@ from .extractor import (
 )
 from .engine import (
     BlockOutput,
-    BlockRecord,
     CodingReport,
     MapResult,
-    ScheduleResult,
     UndeterminedIndex,
     WindowExhausted,
-    blocks_from_markers,
     certified_radius,
     encode_stream,
     map_range,
-    run_schedule,
     scan_markers,
 )
 from .calibration import (

@@ -34,6 +34,10 @@ from .extractor import (
 )
 
 LOG2 = math.log(2)
+# select_marker_length accepts the first t whose worst-case surplus clears
+# _SELECTION_SAFETY bits, and gives up past _MAX_MARKER_LEN.
+_SELECTION_SAFETY = 1.0
+_MAX_MARKER_LEN = 512
 
 
 def expected_block_length(p: ProbabilityVector, t: int) -> Fraction:
@@ -66,18 +70,18 @@ def sample_blocks(
     t: int,
     count: int,
     seed: int,
-    max_symbols: int | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Sample ``count`` i.i.d. non-central blocks of the marker process.
 
     Draws a p-stream and takes the stretches between consecutive marker
     occurrences; returns (block lengths, interior words).  Deterministic
-    given the seed.
+    given the seed.  Gives up after 64 times the expected number of symbols
+    (plus slack) without ``count`` blocks.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     e_lam = float(expected_block_length(p, t))
-    cap = max_symbols if max_symbols is not None else int(64 * (count + 16) * e_lam) + 4096
+    cap = int(64 * (count + 16) * e_lam) + 4096
     cfg = PatternConfig(p.size, t)
     rng = np.random.Generator(np.random.PCG64(seed))
     buf = np.empty(0, dtype=np.int64)
@@ -90,7 +94,7 @@ def sample_blocks(
         if len(buf) > cap:
             raise RuntimeError(
                 f"needed more than {cap} symbols for {count} blocks; "
-                "marker pattern too rare or max_symbols too small"
+                "marker pattern too rare"
             )
     markers = markers[: count + 1]
     lams = np.diff(markers).astype(int)
@@ -191,8 +195,6 @@ def select_marker_length(
     q: ProbabilityVector,
     epsilon: Fraction,
     alphabet_size: int,
-    safety: float = 1.0,
-    t_cap: int = 512,
 ) -> int:
     """Smallest marker length whose bit surplus is positive for *every*
     admissible source on ``alphabet_size`` symbols.
@@ -201,9 +203,10 @@ def select_marker_length(
     every symbol probability below 1 - delta, where delta solves
     H(m) + (1-m) log(a-1) = h(q) + epsilon on (1/a, 1); the mean block
     length is then at least u_min(t) = (1-delta)^-(t-1).  t is accepted when
-    the surplus at u_min clears ``safety`` and keeps growing beyond it
+    the surplus at u_min clears one bit and keeps growing beyond it
     (u_min >= (a+1)/epsilon).  Conservative by construction; the empirical
-    certifier is the authoritative check.
+    certifier is the authoritative check.  Raises RuntimeError when no t up
+    to 512 is accepted.
     """
     eps = float(epsilon)
     if eps <= 0:
@@ -230,13 +233,13 @@ def select_marker_length(
         else:
             hi = mid
     m_star = hi  # every admissible source has max probability <= m_star
-    for t in range(1, t_cap + 1):
+    for t in range(1, _MAX_MARKER_LEN + 1):
         u_min = m_star ** (-(t - 1))
         if u_min * eps < alphabet_size + 1:
             continue
-        if _selection_margin(u_min, eps, alphabet_size) > safety:
+        if _selection_margin(u_min, eps, alphabet_size) > _SELECTION_SAFETY:
             return t
-    raise RuntimeError(f"no marker length up to {t_cap} certifies; gap too small")
+    raise RuntimeError(f"no marker length up to {_MAX_MARKER_LEN} certifies; gap too small")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from finitary.core import ProbabilityVector, SymbolWord, check_word, cumulative
-from finitary.engine import BlockRecord
 from finitary.extractor import (
     PatternConfig,
     _advance,
@@ -160,12 +160,55 @@ class FractionCursor:
         return None
 
 
+@dataclass(frozen=True)
+class Block:
+    """Block ``index`` of a stream: the symbols strictly between the left
+    marker's pattern and the right marker form ``word``, whose extracted bits
+    are ``bits``; the block owns the output indices
+    ``left_marker < i <= right_marker``."""
+
+    index: int
+    left_marker: int
+    right_marker: int
+    word: SymbolWord
+    bits: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return self.right_marker - self.left_marker
+
+    @property
+    def bit_count(self) -> int:
+        return len(self.bits)
+
+
+def naive_blocks(stream, a, t) -> list[Block]:
+    """The blocks between consecutive markers, found by checking every start
+    symbol by symbol, each with its word's extracted bits."""
+    stream = tuple(stream)
+    markers = [
+        i
+        for i in range(len(stream) - t + 1)
+        if stream[i] == 2 and all(stream[i + d] == 1 for d in range(1, t))
+    ]
+    cfg = PatternConfig(a, t)
+    blocks = []
+    for k, (left, right) in enumerate(zip(markers, markers[1:])):
+        word = stream[left + t : right]
+        blocks.append(Block(k, left, right, word, extract(word, cfg).bits))
+    return blocks
+
+
 def naive_schedule(blocks, q, targets):
     """Literal transcription of the synchronous step rules.
 
-    Returns (results, consumed, reach, exited, steps) with the same meaning
-    as engine.run_schedule's fields.  Success is re-checked by feeding the
-    whole read string into a fresh cursor after every read.
+    Returns (results, consumed, reach, exited, steps) for the simulators of
+    ``blocks`` from min(targets) on, run until every target succeeds or runs
+    off the last block: ``results[k]`` is simulator k's output word,
+    ``consumed[k]`` the (block, bit) positions it read (bit 1-based),
+    ``reach[k]`` the block of its successful read, ``exited`` those that ran
+    off, and ``steps`` the lockstep's step count.  Success is re-checked by
+    feeding the whole read string into a fresh cursor after every read.
     """
     targets = set(targets)
     ids = [b.index for b in blocks]
@@ -240,32 +283,13 @@ def naive_schedule(blocks, q, targets):
 
 def naive_map(stream, a, t, q):
     """Independent end-to-end recomputation of the stream transform."""
-    stream = tuple(stream)
-    markers = [
-        i
-        for i in range(len(stream) - t + 1)
-        if stream[i] == 2 and all(stream[i + d] == 1 for d in range(1, t))
-    ]
-    if len(markers) < 2:
+    blocks = naive_blocks(stream, a, t)
+    if not blocks:
         return {}
-    cfg = PatternConfig(a, t)
-    blocks = []
-    for k in range(len(markers) - 1):
-        left, right = markers[k], markers[k + 1]
-        word = stream[left + t : right]
-        blocks.append(
-            BlockRecord(
-                index=k,
-                left_marker=left,
-                right_marker=right,
-                word=word,
-                bits=extract(word, cfg).bits,
-            )
-        )
     done, _, _, _, _ = naive_schedule(blocks, q, set(range(len(blocks))))
     outputs = {}
     for k, word in done.items():
-        left = markers[k]
+        left = blocks[k].left_marker
         for offset, symbol in enumerate(word, start=1):
             outputs[left + offset] = symbol
     return outputs

@@ -17,7 +17,8 @@ import pytest
 from scipy import stats
 
 import finitary as F
-from finitary.core import ProbabilityVector, check_word, entropy
+from finitary.core import ProbabilityVector, entropy
+from finitary.engine import InvariantViolation, _Sweep
 from finitary.extractor import PatternConfig
 
 from oracles import brute_survival
@@ -32,12 +33,6 @@ FOUR_TARGETS = [
     ProbabilityVector.parse("1/4,1/4,1/2"),
     ProbabilityVector.parse("1/6,1/3,1/2"),
 ]
-
-
-def segment(stream, cfg):
-    """Blocks of a validated stream, with words and extracted bits."""
-    x = check_word(stream, cfg.alphabet_size)
-    return F.blocks_from_markers(x, F.scan_markers(x, cfg), cfg)
 
 
 @contextmanager
@@ -190,7 +185,7 @@ def test_criterion_7_source_universality():
     with criterion(7, "source universality"):
         import inspect
 
-        for fn in (F.map_range, F.run_schedule, F.blocks_from_markers, F.scan_markers):
+        for fn in (F.map_range, F.encode_stream, F.scan_markers):
             params = set(inspect.signature(fn).parameters)
             assert not params & {"p", "source", "source_distribution"}
         # A fixed symbol sequence maps identically no matter how it was
@@ -232,38 +227,31 @@ def test_criterion_8_coding_radius_exponential_tail(engine_run):
 
 def test_criterion_9_left_independence():
     with criterion(9, "left independence of simulators"):
+        # A range from block 5 on sweeps no simulator below block 5.
+        cfg = PatternConfig(3, 3)
         for seed in range(100):
             rng = np.random.Generator(np.random.PCG64(2000 + seed))
             stream = [int(v) for v in rng.integers(1, 4, size=2500)]
-            blocks = segment(stream, PatternConfig(3, 3))
-            assert len(blocks) > 10
-            full = F.run_schedule(blocks, FAIR, range(len(blocks)))
-            tail = F.run_schedule(blocks, FAIR, range(5, len(blocks)))
-            for k in range(5, len(blocks)):
-                assert full.results.get(k) == tail.results.get(k)
-                assert full.consumed[k] == tail.consumed[k]
-                assert full.read_bits[k] == tail.read_bits[k]
-                assert full.reach.get(k) == tail.reach.get(k)
+            marks = F.scan_markers(stream, cfg)
+            assert len(marks) > 11
+            full = F.map_range(stream, cfg, FAIR, 0, len(stream) - 1).blocks
+            tail = F.map_range(stream, cfg, FAIR, marks[5] + 1, len(stream) - 1).blocks
+            assert tail and tail == [b for b in full if b.block >= 5]
 
 
 def test_criterion_10_schedule_invariants(engine_run):
     with criterion(10, "schedule invariants (disjoint, in-order reads)"):
         # The disjoint-consumption and in-order read checks are always on inside
-        # run_schedule and raise InvariantViolation; every run in this suite,
+        # the sweep and raise InvariantViolation; every run in this suite,
         # including the 2e5-symbol engine run, passed through them.
         _, marker_len, _, result, _ = engine_run
         assert result.outputs  # the big run completed with checks enabled
-        rng = np.random.Generator(np.random.PCG64(77))
-        stream = [int(v) for v in rng.integers(1, 4, size=5000)]
-        blocks = segment(stream, PatternConfig(3, 3))
-        res = F.run_schedule(blocks, FAIR, range(len(blocks)))
-        assert res.invariant_checks > 0
-        seen = set()
-        for positions in res.consumed.values():
-            assert list(positions) == sorted(positions)
-            for p in positions:
-                assert p not in seen
-                seen.add(p)
+        # A sweep rewound to its first position reads that position again.
+        sweep = _Sweep(FAIR)
+        assert list(sweep.feed(0, 40, [0, 1, 1])) == []
+        sweep.pos = 0
+        with pytest.raises(InvariantViolation, match="consumed twice"):
+            list(sweep.feed(1, 40, [0]))
 
 
 def test_criterion_11_block_length_statistics():

@@ -8,21 +8,18 @@ from hypothesis import given, settings, strategies as st
 from finitary.core import ProbabilityVector, check_word
 from finitary.engine import (
     DEFAULT_MAX_WINDOW,
-    BlockRecord,
     InvariantViolation,
     UndeterminedIndex,
     WindowExhausted,
     _Sweep,
-    blocks_from_markers,
     certified_radius,
     encode_stream,
     map_range,
-    run_schedule,
     scan_markers,
 )
-from finitary.extractor import PatternConfig, extract
+from finitary.extractor import PatternConfig
 
-from oracles import naive_map, naive_schedule
+from oracles import naive_blocks, naive_map, naive_schedule
 
 FAIR = ProbabilityVector.parse("1/2,1/2")
 Q13 = ProbabilityVector.parse("1/3,2/3")
@@ -31,23 +28,6 @@ Q13 = ProbabilityVector.parse("1/3,2/3")
 def random_stream(seed, size, alphabet):
     rng = np.random.Generator(np.random.PCG64(seed))
     return [int(v) for v in rng.integers(1, alphabet + 1, size=size)]
-
-
-def segment(stream, cfg):
-    """Blocks of a validated stream, with words and extracted bits."""
-    x = check_word(stream, cfg.alphabet_size)
-    return blocks_from_markers(x, scan_markers(x, cfg), cfg)
-
-
-def synthetic_block(index, length, bits, left=None):
-    left = 10 * index if left is None else left
-    return BlockRecord(
-        index=index,
-        left_marker=left,
-        right_marker=left + length,
-        word=(),
-        bits=tuple(bits),
-    )
 
 
 class TestScanMarkers:
@@ -90,77 +70,22 @@ class TestScanMarkers:
             assert scan_markers([2] + [1] * (t - 1), cfg) == [0]
 
 
-class TestSegmentBlocks:
-    def test_single_block_with_word(self):
-        blocks = segment((2, 1, 3, 1, 2, 1), PatternConfig(3, 2))
-        assert len(blocks) == 1
-        blk = blocks[0]
-        assert (blk.length, blk.word, len(blk.word)) == (4, (3, 1), 2)
-        assert blk.bits == extract((3, 1), PatternConfig(3, 2)).bits
-
-    def test_adjacent_markers_empty_word(self):
-        blocks = segment((2, 1, 1, 2, 1, 1, 1), PatternConfig(2, 3))
-        assert len(blocks) == 1
-        assert (blocks[0].length, blocks[0].word, blocks[0].bit_count) == (3, (), 0)
-
-    def test_fewer_than_two_markers(self):
-        assert segment((1, 2), PatternConfig(2, 2)) == []
-
-    def test_words_never_contain_the_pattern(self):
-        for seed in range(5):
-            stream = random_stream(seed, 600, 2)
-            for blk in segment(stream, PatternConfig(2, 2)):
-                assert blk.length >= 2 and len(blk.word) >= 0
-
-
-class TestRunSchedule:
+class TestSweep:
     def test_single_block_self_sufficient(self):
-        blocks = [BlockRecord(0, 0, 2, (), (0, 0, 1, 0))]
-        res = run_schedule(blocks, FAIR, [0])
-        assert res.results[0] == (1, 1)
-        assert res.steps == 4
-        assert res.consumed[0] == ((0, 1), (0, 2), (0, 3), (0, 4))
-        assert res.read_bits[0] == (0, 0, 1, 0)
-        assert res.reach[0] == 0
-        assert res.exited == frozenset()
-        assert len(res.results[0]) == blocks[0].length
+        sweep = _Sweep(FAIR)
+        [(k, cursor)] = sweep.feed(0, 2, (0, 0, 1, 0))
+        assert (k, cursor.emitted, cursor.bits_consumed) == (0, [1, 1], 4)
+        assert (sweep.pos, sweep.last, sweep.lowest()) == (4, 3, None)
 
     def test_queue_up_priority_to_rightmost(self):
-        blocks = [
-            synthetic_block(0, 2, []),
-            synthetic_block(1, 2, []),
-            synthetic_block(2, 2, [0, 0]),
-        ]
-        res = run_schedule(blocks, FAIR, [0, 1, 2])
-        assert res.consumed[2] == ((2, 1), (2, 2))
-        assert res.consumed[0] == () and res.consumed[1] == ()
-        assert res.exited == frozenset({0, 1, 2})
-
-    def test_block_length_equals_output_length(self):
-        stream = random_stream(3, 2000, 3)
-        blocks = segment(stream, PatternConfig(3, 2))
-        res = run_schedule(blocks, FAIR, range(len(blocks)))
-        for k, word in res.results.items():
-            assert len(word) == blocks[k].length
-
-    def test_disjoint_consumption(self):
-        stream = random_stream(4, 3000, 3)
-        blocks = segment(stream, PatternConfig(3, 2))
-        res = run_schedule(blocks, FAIR, range(len(blocks)))
-        seen = set()
-        for k, positions in res.consumed.items():
-            assert list(positions) == sorted(positions)
-            for p in positions:
-                assert p not in seen
-                seen.add(p)
-        assert res.invariant_checks > 0
-
-    def test_validates_targets(self):
-        blocks = [synthetic_block(0, 2, [0, 1])]
-        with pytest.raises(ValueError):
-            run_schedule(blocks, FAIR, [])
-        with pytest.raises(ValueError):
-            run_schedule(blocks, FAIR, [5])
+        # Blocks 0 and 1 have no bits, so all three simulators start at
+        # block 2's first bit, and the rightmost reads both of its bits.
+        sweep = _Sweep(FAIR)
+        for k, bits in enumerate([(), (), (0, 0)]):
+            assert list(sweep.feed(k, 2, bits)) == []
+        assert [(k, prev) for k, _, prev in sweep.stack] == [(0, -1), (1, -1), (2, 1)]
+        assert [c.bits_consumed for _, c, _ in sweep.stack] == [0, 0, 2]
+        assert sweep.lowest() == 0
 
 
 SCHEDULE_STREAMS = [
@@ -198,16 +123,26 @@ class TestAgainstNaiveTranscription:
         ],
     )
     def test_schedule_matches(self, seed, size, a, t, q, kind):
+        # Every target's record, from one range over the targets or, for
+        # the scattered ones, one range per block, has the naive simulator's
+        # word and ends at the marker closing the last block it read.
         stream = random_stream(seed, size, a)
-        blocks = segment(stream, PatternConfig(a, t))
+        cfg = PatternConfig(a, t)
+        blocks = naive_blocks(stream, a, t)
         targets = target_set(kind, len(blocks))
-        res = run_schedule(blocks, q, targets)
-        done, consumed, reach, exited, steps = naive_schedule(blocks, q, targets)
-        assert res.results == done
-        assert res.consumed == consumed
-        assert res.reach == reach
-        assert res.exited == exited
-        assert res.steps == steps
+        done, _, reach, _, _ = naive_schedule(blocks, q, targets)
+        if kind == "random":
+            ranges = [(blocks[k].left_marker + 1, blocks[k].right_marker) for k in targets]
+        else:
+            ranges = [(blocks[targets[0]].left_marker + 1, blocks[targets[-1]].right_marker)]
+        records = {}
+        for first, last in ranges:
+            records.update((b.block, b) for b in map_range(stream, cfg, q, first, last).blocks)
+        assert records.keys() == done.keys() & set(targets)
+        for k in targets:
+            if k in done:
+                right = blocks[reach[k]].right_marker + t
+                assert (records[k].symbols, records[k].right_extent) == (done[k], right)
 
     def test_full_map_matches_naive(self):
         stream = random_stream(11, 10_000, 2)
@@ -338,6 +273,29 @@ class TestMapRange:
         res = map_range(stream, PatternConfig(3, 3), FAIR, 0, len(stream) - 1)
         assert res.outputs
 
+    def test_range_extracts_only_the_blocks_it_needs(self, monkeypatch):
+        # One index of a 20k-symbol stream with about 700 blocks: the blocks
+        # before its own are skipped, and the sweep stops once its block's
+        # simulator has finished.
+        import finitary.engine
+
+        stream = random_stream(7, 20_000, 3)
+        cfg, n = PatternConfig(3, 3), len(stream)
+        i = scan_markers(stream, cfg)[10] + 1
+        full = map_range(stream, cfg, FAIR, 0, n - 1)
+        extract, calls = finitary.engine.extract, 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return extract(*args)
+
+        monkeypatch.setattr(finitary.engine, "extract", counted)
+        res = map_range(stream, cfg, FAIR, i, i)
+        assert calls < 10
+        assert i in full.reports and res.reports == {i: full.reports[i]}
+        assert res.undetermined == []
+
 
 class TestWindowCap:
     # One block between two markers whose word yields too few bits for its
@@ -451,23 +409,21 @@ class TestEquivariance:
 class TestLeftIndependence:
     @pytest.mark.parametrize("seed", range(6))
     def test_adding_left_simulators_changes_nothing(self, seed):
+        # A range from block 5 on sweeps no simulator below block 5.
         stream = random_stream(100 + seed, 3000, 3)
-        blocks = segment(stream, PatternConfig(3, 3))
-        assert len(blocks) > 8
-        full = run_schedule(blocks, FAIR, range(len(blocks)))
-        tail = run_schedule(blocks, FAIR, range(5, len(blocks)))
-        for k in range(5, len(blocks)):
-            assert full.results.get(k) == tail.results.get(k)
-            assert full.consumed[k] == tail.consumed[k]
-            assert full.reach.get(k) == tail.reach.get(k)
+        cfg, n = PatternConfig(3, 3), len(stream)
+        marks = scan_markers(stream, cfg)
+        assert len(marks) > 9
+        full = map_range(stream, cfg, FAIR, 0, n - 1).blocks
+        tail = map_range(stream, cfg, FAIR, marks[5] + 1, n - 1).blocks
+        assert tail and tail == [b for b in full if b.block >= 5]
 
 
 class TestSourceUniversality:
     def test_no_source_distribution_parameter(self):
         import inspect
 
-        fns = (map_range, encode_stream, run_schedule, blocks_from_markers, scan_markers)
-        for fn in fns:
+        for fn in (map_range, encode_stream, scan_markers):
             names = set(inspect.signature(fn).parameters)
             assert not names & {"p", "source", "source_distribution"}
 
