@@ -10,25 +10,32 @@ triple is injective, with a constructive inverse.
 
 Ranking is enumerative coding (Cover, 1973) and the power-of-two split is
 Elias's (1972).  Class sizes come from an exact inclusion-exclusion sum over
-marked pattern copies.  Its term vector is built once per word, and one
-left-to-right pass updates it as each symbol leaves the suffix: every symbol
-multiplies each term by a small exact ratio and adds a small multiple of it
-to the rank.  While the terms are long (more than 512 bits), the pass takes
-the symbols 32 at a time, gathers each term's ratios over the window in
-small exact integers, as binary splitting does for a rational series
-(Haible & Papanikolaou, 1998), and then makes two big exact divisions per
-term and window.  Shorter terms are updated one symbol at a time.  Nothing
-is cached between calls, so memory is bounded by the longest word in flight.
+marked pattern copies: R+1 terms, for the most disjoint copies R that the
+counts allow.
+One left-to-right pass ranks the word as each symbol leaves the suffix, by
+one of two walks.  The term loop updates every term by a small exact ratio
+per symbol.  The window walk keeps t values instead: the suffix's class size
+with 0 to t-1 ones fewer, which are M f(n, c, e) for the count M of orders
+of its symbols other than 1 and f(n, c, e) = [z^n] (1-z^(t-1))^c (1-z)^-e
+(a generating function in the style of Flajolet & Sedgewick, 2009).  f
+satisfies an order-t recurrence with coefficients linear in n, so each
+symbol moves the window by a few exact small-integer steps.  The backward
+step of that recurrence fails at one index; there the walk reads a
+companion window that never steps backward.  A word whose term vector
+has more than t terms and a first term wider than 512 bits takes the window
+walk; the rest, the short blocks and t = 1 among them, take the term loop,
+where a few narrow terms cost less than t window values.  Nothing is cached
+between calls, so memory is bounded by the longest word in flight.
 
-The walk yields its running rank at every step, and the final rank lies
-between the running rank and that plus the sum of the terms, less one.
-So a caller that needs only the bit count (``_bit_count``) stops as soon as
-that interval fits inside one power-of-two sub-block, which is usually a
-few symbols in.
+Both walks yield ``(rank, span)`` at every step, with the final rank in
+``[rank, rank + span - 1]``.  So a caller that needs only the bit count
+(``_bit_count``) stops as soon as that interval fits inside one power-of-two
+sub-block, which is usually a few symbols in.
 
 The inverse, ``unrank_in_class``, rebuilds the word from the same terms
-with one exact division per term for each candidate symbol it tries.  It
-shares no code with the rank walk, so a round trip checks one by the other.
+with one exact division per term for each candidate symbol it tries, and a
+subtraction for the last.  It shares no code with the rank walks, so a
+round trip checks one by the other.
 
 Pattern containment is *full* containment: an occurrence must fit entirely
 inside the word, including one ending at its last position.
@@ -38,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from .core import BitString, SymbolWord, check_word
@@ -181,132 +187,258 @@ def _free_count(m: tuple[int, ...], t: int) -> int:
     return sum(_terms(m, t))
 
 
-# Terms of more bits than this take their symbols a window at a time.  Keep
-# it at least 1: the empty suffix leaves one term of 1, which ends the windows.
+# Term vectors of more than t terms whose first term has more bits than this
+# are ranked by the window walk; the rest by the term loop.
 _WIDE_BITS = 512
-_WINDOW = 32
 
 
-def _steps(word: SymbolWord, m: list[int], t: int) -> Iterator[tuple[int, ...]]:
-    """Yield ``(y, x, shrink, c, dc)`` as each symbol leaves the suffix.
+def _term_walk(
+    word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(rank, span)`` along the term loop over a validated word.
 
-    ``m`` holds the suffix counts and is consumed with the word.  For the
-    r-th term the symbol adds ``T_r * (c - r*dc) / y_r`` to the rank (the
-    completions that start below it) and then leaves ``T_r * (x - r*shrink)
-    / y_r``, with ``y_r = y - r(t-1)``; every quotient is exact.
+    ``counts`` is the word's count vector and ``terms`` its ``_terms``,
+    which the loop updates in place as the suffix shrinks.  Each symbol
+    leaves ``(y, x, shrink, c, dc)``: for the r-th term it adds ``T_r * (c -
+    r*dc) / y_r`` to the rank (the completions that start below it) and then
+    leaves ``T_r * (x - r*shrink) / y_r``, with ``y_r = y - r(t-1)``; every
+    quotient is exact.  Only the last term can reach zero, and then it is
+    dropped.  Raises ValueError at the symbol that completes the pattern.
 
     Counting the completions below each symbol, as ``unrank_in_class``
     does, takes the pending count of a 2 off at the symbol that ends the
-    2's run of ones.  Its r-th part is ``T_r * r / y_r`` at the 2,
-    so the 2 adds it up front instead, through a ``dc`` one less.  A last
-    2 whose run reaches the end of the word is never ended, but then the
-    suffix at the 2 holds fewer than t-1 ones, no term beyond r = 0 is left
-    and the part is zero.  Raises ValueError at the symbol that completes
-    the pattern.
-    """
-    step = t - 1
-    n = len(word)
-    state = 0
-    for i, sym in enumerate(word):
-        if sym == 1:
-            if state:
-                state += 1
-                if state == t:
-                    raise ValueError("word contains the marker pattern")
-            yield n - i, m[0], step, 0, 0
-        elif sym == 2:
-            state = 1
-            yield n - i, m[1], 1, m[0], step - 1
-        else:
-            state = 0
-            yield n - i, m[sym - 1], 0, sum(m[: sym - 1]), step
-        m[sym - 1] -= 1
+    2's run of ones.  Its r-th part is ``T_r * r / y_r`` at the 2, so the 2
+    adds it up front instead, through a ``dc`` one less.  A last 2 whose
+    run reaches the end of the word is never ended, but then the suffix at
+    the 2 holds fewer than t-1 ones, no term beyond r = 0 is left and the
+    part is zero.
 
-
-def _exact(num: int, den: int) -> int:
-    quotient, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("inexact division in the rank walk")
-    return quotient
-
-
-def _window(
-    terms: list[int], window: list[tuple[int, ...]], step: int
-) -> tuple[int, list[int]]:
-    """Rank added by a window of ``_steps``, and the terms after it.
-
-    Term r gathers the window in small exact integers, ``P <- P*x``,
-    ``Q <- Q*y`` and ``S <- S*y + P*c``, so that it adds ``T_r * S / Q`` to
-    the rank and becomes ``T_r * P / Q``: two big divisions per term and
-    window instead of two per symbol.  A term that reaches zero stops
-    there, before a later ``y`` of its own can reach zero too.
-    """
-    added = 0
-    out = []
-    for r, u in enumerate(terms):
-        p, q, s = 1, 1, 0
-        for y, x, shrink, c, dc in window:
-            y -= r * step
-            s = s * y + p * (c - r * dc)
-            q *= y
-            p *= x - r * shrink
-            if not p:
-                break
-        added += _exact(u * s, q)
-        if p:
-            out.append(_exact(u * p, q))
-    return added, out
-
-
-def _walk(
-    word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
-) -> Iterator[int]:
-    """Yield the running rank along the rank walk of a validated word.
-
-    ``counts`` is the word's count vector and ``terms`` its ``_terms``,
-    which the walk updates in place as the suffix shrinks.  One
-    left-to-right pass: each symbol adds the completions that start below
-    it, then leaves the suffix.  While the terms have more than
-    ``_WIDE_BITS`` bits, the symbols go ``_WINDOW`` at a time through
-    ``_window``; after that, one at a time.  Only the last term can reach
-    zero, and then it is dropped.  The walk yields at the start, after each
-    window and after each symbol; it yields the rank alone and keeps the
-    caller's ``terms`` current, so a caller that runs it to the end pays
-    little per step.  Raises ValueError when the word contains the pattern.
-
-    At every yield the word's final rank lies in ``[rank, rank + sum(terms)
-    - 1]``.  Let R be the rank of the first word in the class with the
-    prefix walked so far, and p the pending count of a 2 whose run of ones
-    is still open at the prefix's end (0 if there is none).  Each 2 takes
-    its pending count off up front, so ``rank`` is R - p <= R.  The words
-    with the prefix are the pattern-free suffixes, ``sum(terms)`` of them,
-    less the p that would finish the open pattern, so the final rank is at
-    most R + sum(terms) - p - 1.  The last yield leaves ``terms == [1]``
-    and gives the exact rank.
+    ``span`` is ``sum(terms)``, and the word's final rank lies in ``[rank,
+    rank + span - 1]``.  Let R be the rank of the first word in the class
+    with the prefix walked so far, and p the pending count of a 2 whose run
+    of ones is still open at the prefix's end (0 if there is none).  Each 2
+    takes its pending count off up front, so ``rank`` is R - p <= R.  The
+    words with the prefix are the pattern-free suffixes, ``sum(terms)`` of
+    them, less the p that would finish the open pattern, so the final rank
+    is at most R + sum(terms) - p - 1.  The last yield is ``(rank, 1)``
+    with the exact rank.
     """
     step = t - 1
     m = list(counts)
     if t == 1 and m[1]:
         raise ValueError("word contains the marker pattern")
     rank = 1
-    yield rank
-    steps = _steps(word, m, t)
-    while terms[0].bit_length() > _WIDE_BITS:
-        added, terms[:] = _window(terms, list(islice(steps, _WINDOW)), step)
-        rank += added
-        yield rank
-    for y, x, shrink, c, dc in steps:
+    yield rank, sum(terms)
+    state = 0
+    n = len(word)
+    for i, sym in enumerate(word):
+        y = n - i
+        if sym == 1:
+            if state:
+                state += 1
+                if state == t:
+                    raise ValueError("word contains the marker pattern")
+            x, shrink, c, dc = m[0], step, 0, 0
+        elif sym == 2:
+            state = 1
+            x, shrink, c, dc = m[1], 1, m[0], step - 1
+        else:
+            state = 0
+            x, shrink, c, dc = m[sym - 1], 0, sum(m[: sym - 1]), step
+        m[sym - 1] -= 1
+        span = 0
         for r, u in enumerate(terms):
-            rank += u * c // y
+            if c:
+                rank += u * c // y
             u = u * x // y
             if not u:
                 del terms[r:]
                 break
             terms[r] = u
+            span += u
             y -= step
             x -= shrink
             c -= dc
-        yield rank
+        yield rank, span
+
+
+def _ones_down(counts: tuple[int, ...], terms: list[int], s: int) -> list[int]:
+    """Class sizes with s, s-1, ..., 0 ones fewer than ``counts``.
+
+    ``terms`` are the ``_terms`` of ``counts``.  One 1 fewer takes term r
+    to ``T_r * x_r / y_r``; a term whose ``x_r`` reaches zero dies, and a
+    count below zero ones is 0.
+    """
+    x, y = counts[0], sum(counts)
+    sizes = [sum(terms)]
+    for _ in range(s):
+        terms = [u * (x - r * s) // (y - r * s) for r, u in enumerate(terms) if x > r * s]
+        sizes.append(sum(terms))
+        x -= 1
+        y -= 1
+    return sizes[::-1]
+
+
+def _extend(g: list[int], top: int, s: int, c: int, k: int, count: int) -> None:
+    """Append G(top+1), ..., G(top+count) to ``g``, which ends at G(top).
+
+    The forward step of the recurrence divides by n+1 > 0, so it never
+    fails.  ``c`` and ``k`` are the suffix's counts of 2s and of symbols
+    other than 1.
+    """
+    cs = c * s
+    for n in range(top, top + count):
+        g.append(
+            ((n + k + 1) * g[-1] + (n - s + 1 - cs) * g[-s] + (cs - k - 1 - n + s) * g[-s - 1])
+            // (n + 1)
+        )
+
+
+def _after_two(g: list[int], lo: int, s: int, c: int, k: int, count: int) -> list[int]:
+    """G(lo-s+1), ..., G(lo+count) once a 2 leaves, from ``g`` = G(lo), ...,
+    G(lo+s) before it (``c``, ``k`` as in ``_extend``, before the 2 leaves).
+
+    The first s values come from (1-z) f'_{c,e} = -cs z^(s-1) f_{c-1,e-1}
+    + e f_{c,e}, which gives G'(N) = ((N+s-1+e) G(N+s-1) - (N+s) G(N+s)) /
+    (s k); the rest from (1-z) f_{c,e} = (1-z^s) f_{c-1,e-1}, which gives
+    G'(n) = G'(n-s) + (G(n) - G(n-1)) c / k.  Every division is exact.
+    """
+    new = [
+        ((n + s + k) * g[i] - (n + s) * g[i + 1]) // (s * k)
+        for i, n in enumerate(range(lo - s + 1, lo + 1))
+    ]
+    for i in range(count):
+        new.append(new[-s] + (g[i + 1] - g[i]) * c // k)
+    return new
+
+
+def _window_walk(
+    word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(rank, span)`` along the window walk over a validated word.
+
+    With s = t-1, a suffix with m_1 ones, c twos and k symbols other than 1
+    has G(m_1) pattern-free orders, where G(n) = M f(n, c, k+1), M counts the
+    orders of its symbols other than 1, and f(n, c, e) = [z^n] (1-z^s)^c
+    (1-z)^-e counts the ways to put n ones into its gaps, at most s-1 of
+    them after each 2.  The walk keeps the window ``g`` = G(m_1-s), ...,
+    G(m_1), built from ``terms`` by ``_ones_down``.  f satisfies
+
+        (n+1) f(n+1) = (n+e) f(n) + (n-s+1-cs) f(n-s+1) + (cs-e-n+s) f(n-s).
+
+    A symbol above 1 adds G(m_1-1) to the rank, less G(m_1-s+j) when the
+    last symbol other than 1 was a 2 followed by j ones; a symbol above 2
+    also adds (G(m_1) - G(m_1-1)) (m_2 + ... + m_{sym-1}) / k.  Then the
+    symbol leaves.  A 1 slides the window down by one backward step of the
+    recurrence.  A symbol above 2 takes one backward step and sets G(n) <-
+    (G(n) - G(n-1)) m_sym / k.  A 2 goes through ``_after_two``.  Every
+    division is exact.
+
+    The backward step to index N divides by cs - e - N and fails at
+    N = cs - e, the singular index.  There it reads G(N) from a companion
+    window ``h`` = G(N), ..., G(N+s), which never steps backward: a 2 lowers
+    N by s-1 through ``_after_two``, and a symbol above 2 raises it by 1
+    with one forward step, which divides by n+1.  The companion is
+    kept while max(N, 0) < m_1 - s, the only time the main window can step
+    down onto N.  It is seeded from ``_terms`` at the start; later only a 2
+    can bring it back, by moving N below the main window, and then it is a
+    slice of the main window's ``_after_two``.  While N < 0 only G(0) = M
+    matters, and it is kept instead; a symbol above 2 takes N to 0, and
+    ``h`` is rebuilt from M by s forward steps.  So each symbol costs O(t)
+    exact operations, and a word calls ``_terms`` at most once here.
+
+    ``span`` is the number of completions of the prefix walked so far,
+    G(m_1), or G(m_1) - G(m_1-s+j) after a 2; the rank is the first
+    completion's, so the final rank lies in ``[rank, rank + span - 1]``.
+    Raises ValueError when the word contains the pattern.
+    """
+    s = t - 1
+    m = list(counts)
+    ones, c = m[0], m[1]
+    k = len(word) - ones
+    yield 1, sum(terms)
+    rank = 1
+    g = _ones_down(counts, terms, s)
+    star = c * s - k - 1
+    h = big_m = None
+    if 0 <= star < ones - s:
+        seed = (star + s, *counts[1:])
+        h = _ones_down(seed, _terms(seed, t), s)
+    elif star < 0 < ones - s:
+        big_m = _terms((0, *counts[1:]), t)[0]
+    j = -1  # ones after the last 2 while its run is open, else -1
+    for sym in word:
+        if sym > 1:
+            rank += g[s - 1] - (g[j] if j >= 0 else 0)
+            if sym > 2:
+                rank += (g[s] - g[s - 1]) * sum(m[1 : sym - 1]) // k
+        if sym == 2:
+            j = 0
+            new = _after_two(g, ones - s, s, c, k, s)  # G'(ones-2s+1 .. ones)
+            g = new[s - 1 :]
+            if big_m is not None:
+                big_m = big_m * c // k
+            elif h is not None:
+                h = _after_two(h, star, s, c, k, 1)
+            elif max(star - s + 1, 0) < ones - s:
+                at = star - s + 1 - (ones - 2 * s + 1)
+                h = new[at : at + t]
+            star -= s - 1
+            if h is not None and star < 0:
+                h, big_m = None, h[-star]
+            c -= 1
+            k -= 1
+        else:
+            if sym == 1:
+                if j >= 0:
+                    j += 1
+                    if j == s:
+                        raise ValueError("word contains the marker pattern")
+            else:
+                j = -1
+            n = ones - s - 1
+            if n < 0:
+                low = 0
+            elif n == star:
+                low = h[0]
+            else:
+                low = (
+                    ones * g[s] - (ones + k) * g[s - 1] - (ones - s - c * s) * g[0]
+                ) // (star - n)
+            if sym == 1:
+                g.insert(0, low)
+                g.pop()
+                ones -= 1
+            else:
+                mult = m[sym - 1]
+                g = [(b - a) * mult // k for a, b in zip([low, *g], g)]
+                if big_m is not None:
+                    big_m = big_m * mult // k
+                elif h is not None:
+                    _extend(h, star + s, s, c, k, 1)
+                    h = [(b - a) * mult // k for a, b in zip(h, h[1:])]
+                star += 1
+                k -= 1
+                if big_m is not None and star == 0 and ones > s:
+                    h = [0] * s + [big_m]
+                    _extend(h, 0, s, c, k, s)
+                    h, big_m = h[s:], None
+        m[sym - 1] -= 1
+        if max(star, 0) >= ones - s:
+            h = big_m = None
+        yield rank, g[s] - (g[j] if j >= 0 else 0)
+
+
+def _walk(
+    word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
+) -> Iterator[tuple[int, int]]:
+    """The rank walk for a validated word: the window walk when ``terms``
+    has more than t terms and its first is wider than ``_WIDE_BITS``, else
+    the term loop.  On short words the term loop is the faster of the two,
+    and at t = 1 every class has one term."""
+    if len(terms) > t and terms[0].bit_length() > _WIDE_BITS:
+        return _window_walk(word, counts, terms, t)
+    return _term_walk(word, counts, terms, t)
 
 
 def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
@@ -315,7 +447,7 @@ def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ..
     counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
     terms = _terms(counts, cfg.marker_len)
     size = sum(terms)
-    for rank in _walk(word, counts, terms, cfg.marker_len):
+    for rank, _ in _walk(word, counts, terms, cfg.marker_len):
         pass
     return rank, size, counts
 
@@ -354,15 +486,20 @@ def unrank_in_class(
     pending = 0
     word: list[int] = []
     for n in range(sum(m), 0, -1):
+        tried: list[list[int]] = []
         for c, k in enumerate(counts, start=1):
             if not k:
                 continue
-            shrink = step if c == 1 else 0
-            row = [u * (k - r * shrink) // (n - r * step) for r, u in enumerate(terms)]
+            if any(counts[c:]):
+                shrink = step if c == 1 else 0
+                row = [u * (k - r * shrink) // (n - r * step) for r, u in enumerate(terms)]
+            else:  # the last candidate: the rows sum to the terms
+                row = [u - sum(col) for u, col in zip(terms, zip(*tried))] if tried else terms
             count = sum(row) - (pending if c == 1 else 0)
             if rank <= count:
                 break
             rank -= count
+            tried.append(row)
         else:  # pragma: no cover - rank was validated above
             raise AssertionError("unrank walk exhausted the alphabet")
         word.append(c)
@@ -468,9 +605,9 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     e = rest.bit_length() - 1
     top = 1 << e
     walk = _walk(word, counts, terms, cfg.marker_len)
-    rank = next(walk)
-    while rank + sum(terms) - 1 > top:
-        rank = next(walk)
+    rank, span = next(walk)
+    while rank + span - 1 > top:
+        rank, span = next(walk)
         while rank > top:
             rest ^= 1 << e
             e = rest.bit_length() - 1

@@ -12,12 +12,12 @@ from finitary.extractor import (
     ExtractionTriple,
     PatternConfig,
     _bit_count,
-    _exact,
     _extract,
     _free_count,
     _sub_block,
+    _term_walk,
     _terms,
-    _walk,
+    _window_walk,
     class_from_index,
     class_index,
     class_size,
@@ -266,8 +266,9 @@ class TestAgainstNaiveRanker:
             w = _random_free_word(rng, a, t, n)
             m = count_vector(w, a)
             if n == 800 and t >= 3:
-                # Long enough that the walk starts in windows of symbols.
-                assert _terms(m, t)[0].bit_length() > extractor._WIDE_BITS
+                # Long enough that the dispatch picks the window walk.
+                terms = _terms(m, t)
+                assert len(terms) > t and terms[0].bit_length() > extractor._WIDE_BITS
             rank = rank_in_class(w, cfg)
             assert rank == naive_rank_in_class(w, cfg)
             assert unrank_in_class(m, cfg, rank) == w
@@ -281,7 +282,15 @@ class TestAgainstNaiveRanker:
         def refuse(*args, **kwargs):
             raise AssertionError("the rank walk was called")
 
-        for name in ("_walk", "_steps", "_window", "_rank"):
+        for name in (
+            "_walk",
+            "_term_walk",
+            "_window_walk",
+            "_ones_down",
+            "_extend",
+            "_after_two",
+            "_rank",
+        ):
             monkeypatch.setattr(extractor, name, refuse)
         with pytest.raises(AssertionError, match="rank walk"):
             rank_in_class((1, 2, 1), PatternConfig(a, 3))
@@ -300,17 +309,34 @@ def _splice(word, at, piece):
     return word[:at] + tuple(piece) + word[at + len(piece) :]
 
 
+def _walks(t):
+    """Names of the rank walks that can rank words with marker length t;
+    t = 1 has one term per class, so only the term loop."""
+    return ("_term_walk",) if t == 1 else ("_term_walk", "_window_walk")
+
+
+def _rank_by_each_walk(w, cfg):
+    """``rank_in_class(w, cfg)`` with the dispatch sent to each walk in turn."""
+    ranks = []
+    for name in _walks(cfg.marker_len):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extractor, "_walk", getattr(extractor, name))
+            ranks.append(rank_in_class(w, cfg))
+    return ranks
+
+
 class TestWindowedWalk:
-    """Walking a window of symbols per exact division, at its boundaries."""
+    """Inputs first written for the 32-symbol windows of an earlier batched
+    term walk: runs of ones across window boundaries, a final 2 and a dying
+    term.  Each now goes through both walks and the dispatch."""
 
     def test_runs_of_ones_across_window_boundaries(self):
-        # Windows start every _WINDOW symbols while the terms are long.  A 2
-        # whose run of ones ends in the next window takes its correction in
-        # the earlier one; so do a 2 that closes a window and a run that
-        # starts a window.
+        # A 2 whose run of ones crosses a multiple of 32 symbols, a 2 that
+        # ends such a stretch and a run that starts one, all while the terms
+        # are wide.
         cfg = PatternConfig(3, 6)
         base = _random_free_word(random.Random(6), 3, 6, 700)
-        size = extractor._WINDOW
+        size = 32
         cases = [
             (size - 2, (2, 1, 1, 3)),
             (2 * size - 1, (2, 2, 1, 2)),
@@ -319,28 +345,31 @@ class TestWindowedWalk:
         ]
         for at, piece in cases:
             w = _splice(base, at, piece)
-            # The window after the boundary still starts with wide terms.
             suffix = count_vector(w[(at // size + 1) * size :], 3)
             assert _terms(suffix, 6)[0].bit_length() > extractor._WIDE_BITS
-            assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg)
+            expected = naive_rank_in_class(w, cfg)
+            assert rank_in_class(w, cfg) == expected
+            assert _rank_by_each_walk(w, cfg) == [expected] * 2
 
     def test_run_of_ones_ends_the_word(self):
         # A last 2 whose run of ones reaches the end of the word is never
-        # ended inside it.  The correction the walk adds at every 2 must come
-        # to zero there.
+        # ended inside it.  The term loop's correction at every 2 must come
+        # to zero there, and the window walk's span must count the open run.
         cfg = PatternConfig(3, 4)
         base = _random_free_word(random.Random(4), 3, 4, 600)
         for tail in [(2,), (2, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1), (2, 3, 1, 1)]:
             w = base[: -len(tail)] + tail
-            assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg)
+            expected = naive_rank_in_class(w, cfg)
+            assert rank_in_class(w, cfg) == expected
+            assert _rank_by_each_walk(w, cfg) == [expected] * 2
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 32])
     @pytest.mark.parametrize("a,t", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_every_window_length_on_every_small_word(self, monkeypatch, a, t, width):
-        # With every term wide, every boundary case lands in some window:
-        # terms dying mid-window, runs crossing boundaries, a final 2.
-        monkeypatch.setattr(extractor, "_WIDE_BITS", 1)
-        monkeypatch.setattr(extractor, "_WINDOW", width)
+        # ``width`` is the dispatch threshold in bits: the words whose terms
+        # are wider than that, and more than t, take the window walk and the
+        # rest the term loop.  Every word also goes through each walk alone.
+        monkeypatch.setattr(extractor, "_WIDE_BITS", width)
         cfg = PatternConfig(a, t)
         for n in range(7 if a < 4 else 6):
             by_class = {}
@@ -349,36 +378,34 @@ class TestWindowedWalk:
             for words in by_class.values():
                 for expected_rank, w in enumerate(sorted(words), start=1):
                     assert rank_in_class(w, cfg) == expected_rank
+                    assert set(_rank_by_each_walk(w, cfg)) == {expected_rank}
 
     @pytest.mark.parametrize("width", [3, 7, 32])
     def test_long_words_in_short_windows(self, monkeypatch, width):
-        monkeypatch.setattr(extractor, "_WIDE_BITS", 1)
-        monkeypatch.setattr(extractor, "_WINDOW", width)
+        monkeypatch.setattr(extractor, "_WIDE_BITS", width)
         rng = random.Random(width)
         for a, t in [(2, 2), (3, 3), (3, 6), (4, 8)]:
             cfg = PatternConfig(a, t)
             for n in (40, 150):
                 w = _random_free_word(rng, a, t, n)
-                assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg)
+                expected = naive_rank_in_class(w, cfg)
+                assert rank_in_class(w, cfg) == expected
+                assert _rank_by_each_walk(w, cfg) == [expected] * 2
 
     def test_dead_term_whose_divisor_reaches_zero(self, monkeypatch):
         # In 1^k 2^k (t=2) the term r=k dies at the first 1, and its divisor
-        # n - r reaches zero k symbols later, inside the same window.  The
-        # dead term must stop gathering before that divisor.
+        # n - r reaches zero k symbols later: the term loop must drop it
+        # first.  The window walk starts this word with its ones all ahead.
         monkeypatch.setattr(extractor, "_WIDE_BITS", 1)
         cfg = PatternConfig(2, 2)
         for k in range(1, 12):
             w = (1,) * k + (2,) * k
             assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg) == 1
-
-    def test_inexact_division_raises(self):
-        assert _exact(12, 4) == 3
-        with pytest.raises(ArithmeticError):
-            _exact(13, 4)
+            assert _rank_by_each_walk(w, cfg) == [1, 1]
 
     def test_roundtrip_long_word(self):
-        # unrank_in_class still walks one symbol at a time, so it is an
-        # independent route back from the windowed rank.
+        # unrank_in_class walks the terms one symbol at a time, so it is an
+        # independent route back from the window walk's rank.
         cfg = PatternConfig(3, 8)
         w = _random_free_word(random.Random(3000), 3, 8, 3000)
         assert invert(len(w), cfg, extract(w, cfg)) == w
@@ -386,8 +413,8 @@ class TestWindowedWalk:
 
 def _with_runs_across_windows(rng, a, t, n):
     """A pattern-free word of length ``n`` in which runs of a 2 and its ones
-    cross the first window boundaries.  ``a`` must be at least 3."""
-    size = extractor._WINDOW
+    cross the first multiples of 32 symbols.  ``a`` must be at least 3."""
+    size = 32
     while True:
         w = _random_free_word(rng, a, t, n)
         for k in range(1, min(n // size, 6)):
@@ -405,10 +432,187 @@ class TestEarlyStop:
     @pytest.mark.parametrize("a", [2, 3, 4])
     def test_every_small_word(self, monkeypatch, a, wide):
         # The expected count comes from the lexicographic position alone.
-        # With every term wide the walk also stops after windows.
+        # With wide=None every word goes through each walk alone; with
+        # wide=1 through the dispatch, which then sends every word with more
+        # than t terms to the window walk.
         if wide is not None:
             monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
         for t in range(1, 6):
+            cfg = PatternConfig(a, t)
+            cases = []
+            for n in range(8 if a < 4 else 6):
+                by_class = {}
+                for w in brute_pattern_free(a, t, n):
+                    by_class.setdefault(count_vector(w, a), []).append(w)
+                for words in by_class.values():
+                    for rank, w in enumerate(sorted(words), start=1):
+                        cases.append((w, _sub_block(len(words), rank)[0]))
+            for name in ("_walk",) if wide is not None else _walks(t):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(extractor, "_walk", getattr(extractor, name))
+                    for w, e in cases:
+                        assert _bit_count(w, cfg) == e == _extract(w, cfg).num_bits
+
+    @pytest.mark.parametrize("a,t", [(3, 3), (3, 6), (4, 8)])
+    def test_every_interval_holds_the_rank(self, a, t):
+        rng = random.Random(100 * a + t)
+        cfg = PatternConfig(a, t)
+        for n in (50, 900, *rng.sample(range(51, 900), 4)):
+            w = _with_runs_across_windows(rng, a, t, n)
+            final = naive_rank_in_class(w, cfg)
+            counts = count_vector(w, a)
+            for walk in (_term_walk, _window_walk):
+                seen = list(walk(w, counts, _terms(counts, t), t))
+                assert len(seen) == n + 1
+                for rank, span in seen:
+                    assert rank <= final <= rank + span - 1
+                assert seen[-1] == (final, 1)
+            if n == 900:
+                picked = extractor._walk(w, counts, _terms(counts, t), t)
+                assert picked.__name__ == "_window_walk"
+
+    @pytest.mark.parametrize("a,t", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
+    def test_span_ends_at_the_last_word_with_the_prefix(self, a, t):
+        # Both walks give the tightest interval: its top is the rank of the
+        # class's last word with the prefix walked so far.  The window walk's
+        # rank is also the first such word's.
+        for n in range(7 if a < 4 else 6):
+            by_class = {}
+            for w in brute_pattern_free(a, t, n):
+                by_class.setdefault(count_vector(w, a), []).append(w)
+            for m, words in by_class.items():
+                first, last = {}, {}
+                for rank, w in enumerate(sorted(words), start=1):
+                    for i in range(n + 1):
+                        first.setdefault(w[:i], rank)
+                        last[w[:i]] = rank
+                for w in words:
+                    for name in _walks(t):
+                        walk = getattr(extractor, name)
+                        for i, (rank, span) in enumerate(walk(w, m, _terms(m, t), t)):
+                            assert rank + span - 1 == last[w[:i]]
+                            assert rank == first[w[:i]] or name == "_term_walk"
+
+    def test_stops_a_few_symbols_in(self, monkeypatch):
+        # The sub-block of a typical word is certain after a few symbols; a
+        # walk that could only stop at the end would draw every symbol.
+        drawn = [0]
+        for name in ("_walk", "_term_walk", "_window_walk"):
+            walk = getattr(extractor, name)
+
+            def counting(*args, walk=walk):
+                for step in walk(*args):
+                    drawn[0] += 1
+                    yield step
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(extractor, "_walk", counting)
+                for a, t in [(2, 3), (3, 6), (4, 8)]:
+                    rng = random.Random(5)
+                    cfg = PatternConfig(a, t)
+                    words = [
+                        _random_free_word(rng, a, t, rng.randrange(100, 300)) for _ in range(100)
+                    ]
+                    drawn[0] = 0
+                    for w in words:
+                        _bit_count(w, cfg)
+                    assert drawn[0] < sum(map(len, words)) // 4
+
+    @pytest.mark.parametrize(
+        "a,t,m", [(2, 3, (0, 0)), (2, 3, (2, 5)), (3, 2, (1, 1, 3)), (3, 4, (3, 3, 1))]
+    )
+    def test_power_of_two_class_takes_no_step(self, monkeypatch, a, t, m):
+        def no_window(*args):
+            raise AssertionError("the window walk built its window")
+
+        monkeypatch.setattr(extractor, "_ones_down", no_window)
+        cfg = PatternConfig(a, t)
+        words = [w for w in brute_pattern_free(a, t, sum(m)) if count_vector(w, a) == m]
+        assert len(words) == class_size(m, cfg) == 1 << (len(words).bit_length() - 1)
+        for name in ("_walk", *_walks(t)):
+            walk = getattr(extractor, name)
+
+            def first_only(*args, walk=walk):
+                steps = walk(*args)
+                yield next(steps)
+                raise AssertionError("the walk took a step")
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(extractor, "_walk", first_only)
+                for w in words:
+                    assert _bit_count(w, cfg) == len(words).bit_length() - 1
+
+
+def _companion_events(word, t):
+    """What the window walk's companion goes through on ``word``, replayed
+    from the counts alone.
+
+    The singular index is N = c(t-1) - k - 1 for c twos and k symbols other
+    than 1 in the suffix, and the main window's backward step lands on
+    m_1 - t, for m_1 ones.  The companion is kept while max(N, 0) < m_1 - t
+    + 1.  It starts as ``seed`` (kept at the start with N >= 0), ``g0``
+    (kept at the start with N < 0) or ``at_two`` (a 2 brings it back);
+    ``rebuilt`` is N reaching 0 while it is kept, and ``singular after X``
+    a backward step onto N >= 0 served by a companion that started as X.
+    """
+    s = t - 1
+    ones, c = word.count(1), word.count(2)
+    k = len(word) - ones
+    star = c * s - k - 1
+    origin = ("seed" if star >= 0 else "g0") if max(star, 0) < ones - s else None
+    events = {origin} if origin else set()
+    for sym in word:
+        if sym != 2 and ones - s - 1 == star >= 0:
+            events.add("singular after " + origin)
+        if sym == 1:
+            ones -= 1
+        elif sym == 2:
+            star -= s - 1
+            k -= 1
+            if origin is None and max(star, 0) < ones - s:
+                origin = "at_two"
+                events.add(origin)
+        else:
+            star += 1
+            k -= 1
+            if origin and star == 0 < ones - s:
+                events.add("rebuilt")
+        if max(star, 0) >= ones - s:
+            origin = None
+    return events
+
+
+def _count_terms_calls(monkeypatch):
+    """Wrap ``extractor._terms`` in a counter; returns its one-item list."""
+    calls = [0]
+    terms = extractor._terms
+
+    def counting(*args):
+        calls[0] += 1
+        return terms(*args)
+
+    monkeypatch.setattr(extractor, "_terms", counting)
+    return calls
+
+
+def _families(t, L):
+    """The pattern-free ones of (2 1)^L 3, (2 1 3)^L, (2 1^(t-2) 3)^L and
+    (2 1^(t-2))^L 3^L over {1, 2, 3}."""
+    run = (2,) + (1,) * (t - 2)
+    words = [(2, 1) * L + (3,), (2, 1, 3) * L, (run + (3,)) * L, run * L + (3,) * L]
+    return [w for w in words if is_pattern_free(w, PatternConfig(3, t))]
+
+
+class TestWindowWalk:
+    """The window walk, forced on every term vector, against the naive
+    ranker and the term loop, on and across its singular index."""
+
+    @pytest.mark.parametrize("a,count", [(2, 613), (3, 10723), (4, 5093)])
+    def test_every_small_word_against_naive(self, monkeypatch, a, count):
+        # t = 2..5, n <= 7 (n <= 5 at a = 4): 16,429 words in all.
+        monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
+        seen = 0
+        for t in range(2, 6):
             cfg = PatternConfig(a, t)
             for n in range(8 if a < 4 else 6):
                 by_class = {}
@@ -416,106 +620,84 @@ class TestEarlyStop:
                     by_class.setdefault(count_vector(w, a), []).append(w)
                 for words in by_class.values():
                     for rank, w in enumerate(sorted(words), start=1):
-                        e = _sub_block(len(words), rank)[0]
-                        assert _bit_count(w, cfg) == e == _extract(w, cfg).num_bits
+                        assert rank_in_class(w, cfg) == rank == naive_rank_in_class(w, cfg)
+                        seen += 1
+        assert seen == count
 
-    @pytest.mark.parametrize("a,t", [(3, 3), (3, 6), (4, 8)])
-    def test_every_interval_holds_the_rank(self, monkeypatch, a, t):
-        rng = random.Random(100 * a + t)
-        cfg = PatternConfig(a, t)
-        default = extractor._WIDE_BITS
-        for n in (50, 900, *rng.sample(range(51, 900), 4)):
-            w = _with_runs_across_windows(rng, a, t, n)
-            final = naive_rank_in_class(w, cfg)
-            counts = count_vector(w, a)
-            for wide in (default, 1):
-                monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
-                terms = _terms(counts, t)
-                seen = [(rank, sum(terms), list(terms)) for rank in _walk(w, counts, terms, t)]
-                for rank, total, _ in seen:
-                    assert rank <= final <= rank + total - 1
-                assert seen[-1] == (final, 1, [1])
-                # The walk took windows while the terms were wide.
-                assert len(seen) < n + 1 or _terms(counts, t)[0].bit_length() <= wide
+    def test_random_words_against_the_term_loop(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            a, t = rng.choice((2, 3, 4)), rng.choice((2, 3, 4, 6, 8))
+            w = _random_free_word(rng, a, t, rng.randrange(601))
+            ranks = _rank_by_each_walk(w, PatternConfig(a, t))
+            assert ranks[0] == ranks[1]
 
-    def test_stops_a_few_symbols_in(self, monkeypatch):
-        # The sub-block of a typical word is certain after a few symbols; a
-        # walk that could only stop at the end would draw every symbol.
-        drawn = [0]
-        steps = extractor._steps
-
-        def counting(word, m, t):
-            for step in steps(word, m, t):
-                drawn[0] += 1
-                yield step
-
-        monkeypatch.setattr(extractor, "_steps", counting)
-        for a, t in [(2, 3), (3, 6), (4, 8)]:
-            rng = random.Random(5)
-            cfg = PatternConfig(a, t)
-            words = [_random_free_word(rng, a, t, rng.randrange(100, 300)) for _ in range(100)]
-            drawn[0] = 0
-            for w in words:
-                _bit_count(w, cfg)
-            assert drawn[0] < sum(map(len, words)) // 4
+    @pytest.mark.parametrize("t", [2, 3, 4, 6])
+    def test_families_on_the_singular_index(self, t):
+        cfg = PatternConfig(3, t)
+        events = set()
+        for L in (1, 2, 3, 6, 40, 200):
+            for w in _families(t, L):
+                ranks = _rank_by_each_walk(w, cfg)
+                assert ranks[0] == ranks[1]
+                if L <= 6:
+                    assert ranks[0] == naive_rank_in_class(w, cfg)
+                events |= _companion_events(w, t)
+        # At t = 2 the singular index c - k - 1 is always negative.
+        assert any(e.startswith("singular") for e in events) == (t > 2)
 
     @pytest.mark.parametrize(
-        "a,t,m", [(2, 3, (0, 0)), (2, 3, (2, 5)), (3, 2, (1, 1, 3)), (3, 4, (3, 3, 1))]
+        "t,word,events",
+        [
+            (4, (2, 1, 1, 3) * 30, {"seed", "at_two", "singular after seed"}),
+            (
+                6,
+                (2, 1, 1, 1, 1, 3) * 30,
+                {"seed", "at_two", "singular after seed", "singular after at_two"},
+            ),
+            (3, (3,) * 30 + (2, 1) * 30, {"g0", "rebuilt", "singular after g0"}),
+            (4, (3,) * 40 + (1,) * 60 + (2,) * 20, {"g0", "rebuilt", "singular after g0"}),
+            (3, (3, 2, 1) * 30, {"g0", "rebuilt"}),
+            (3, (2, 1) * 30 + (3,), {"at_two", "singular after at_two"}),
+        ],
     )
-    def test_power_of_two_class_takes_no_step(self, monkeypatch, a, t, m):
-        def no_step(*args):
-            raise AssertionError("the walk took a step")
+    def test_companion_seeded_at_start_and_mid_walk(self, monkeypatch, t, word, events):
+        assert _companion_events(word, t) == events
+        cfg = PatternConfig(3, t)
+        ranks = _rank_by_each_walk(word, cfg)
+        assert ranks[0] == ranks[1]
+        for cut in range(8, 12):
+            short = word[:cut] + word[-cut:]
+            if is_pattern_free(short, cfg):
+                assert _rank_by_each_walk(short, cfg) == [naive_rank_in_class(short, cfg)] * 2
+        calls = _count_terms_calls(monkeypatch)
+        monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
+        rank_in_class(word, cfg)
+        assert calls[0] == (2 if events & {"seed", "g0"} else 1)
 
-        monkeypatch.setattr(extractor, "_steps", no_step)
-        cfg = PatternConfig(a, t)
-        words = [w for w in brute_pattern_free(a, t, sum(m)) if count_vector(w, a) == m]
-        assert len(words) == class_size(m, cfg) == 1 << (len(words).bit_length() - 1)
-        for w in words:
-            assert _bit_count(w, cfg) == len(words).bit_length() - 1
+    @pytest.mark.parametrize("word", [(2, 1) * 2000 + (3,), (2, 1, 3) * 2000])
+    def test_terms_called_at_most_twice(self, monkeypatch, word):
+        # No R-term recount hides in the singular step: one call for the
+        # word's terms and at most one for the companion's seed.
+        cfg = PatternConfig(3, 3)
+        counts = count_vector(word, 3)
+        assert extractor._walk(word, counts, _terms(counts, 3), 3).__name__ == "_window_walk"
+        calls = _count_terms_calls(monkeypatch)
+        assert rank_in_class(word, cfg) >= 1
+        assert calls[0] <= 2
 
-
-def test_extract_keeps_no_table_between_calls():
-    # A table that grows with block length (factorials, cached counts) would
-    # stay behind after a long word.  One-pass ranking keeps nothing between
-    # calls, so neither call leaves net memory beyond small slack.
-    cfg = PatternConfig(3, 8)
-    word = _random_free_word(random.Random(8), 3, 8, 1500)
-    assert extract(word[:20], cfg).class_id > 0  # first-use allocations
-    tracemalloc.start()
-    try:
-        retained = []
-        for _ in range(2):
-            assert extract(word, cfg).num_bits > 1000
-            retained.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-    assert retained[0] < 16384
-    assert retained[1] - retained[0] < 1024
-
-
-def test_four_symbol_alphabet_roundtrip():
-    cfg = PatternConfig(4, 2)
-    seen = 0
-    for n in range(5):
-        for w in itertools.product((1, 2, 3, 4), repeat=n):
-            if is_pattern_free(w, cfg):
-                trip = extract(w, cfg)
-                assert invert(n, cfg, trip) == w
-                seen += 1
-    assert seen == 285
-
-
-@given(
-    st.integers(2, 3),
-    st.integers(1, 3),
-    st.lists(st.integers(1, 3), max_size=9),
-)
-def test_extract_invert_roundtrip_random(a, t, symbols):
-    word = tuple(s for s in symbols if s <= a)
-    cfg = PatternConfig(a, t)
-    if not is_pattern_free(word, cfg):
-        with pytest.raises(ValueError):
-            extract(word, cfg)
-    else:
-        trip = extract(word, cfg)
-        assert invert(len(word), cfg, trip) == word
+    def test_dispatch(self):
+        # t = 1, narrow terms and wide terms no more than t stay on the
+        # term loop.
+        for a, t, w, name in [
+            (3, 1, (1, 3) * 400, "_term_walk"),
+            (3, 3, (2, 1, 3) * 10, "_term_walk"),
+            (3, 3, (1, 1) + (3, 2) * 300, "_term_walk"),
+            (3, 3, (2, 1, 3) * 300, "_window_walk"),
+        ]:
+            counts = count_vector(w, a)
+            terms = _terms(counts, t)
+            wide = len(terms) > t and terms[0].bit_length() > extractor._WIDE_BITS
+            assert wide == (name == "_window_walk")
+            assert extractor._walk(w, counts, terms, t).__name__ == name
+            assert terms[0].bit_length() > extractor._WIDE_BITS or w == (2, 1, 3) * 10
