@@ -701,3 +701,51 @@ class TestWindowWalk:
             assert wide == (name == "_window_walk")
             assert extractor._walk(w, counts, terms, t).__name__ == name
             assert terms[0].bit_length() > extractor._WIDE_BITS or w == (2, 1, 3) * 10
+
+
+
+def test_extract_keeps_no_table_between_calls():
+    # A table that grows with block length (factorials, cached counts) would
+    # stay behind after a long word.  One-pass ranking keeps nothing between
+    # calls, so neither call leaves net memory beyond small slack.
+    cfg = PatternConfig(3, 8)
+    word = _random_free_word(random.Random(8), 3, 8, 1500)
+    assert extract(word[:20], cfg).class_id > 0  # first-use allocations
+    tracemalloc.start()
+    try:
+        retained = []
+        for _ in range(2):
+            assert extract(word, cfg).num_bits > 1000
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert retained[0] < 16384
+    assert retained[1] - retained[0] < 1024
+
+
+def test_four_symbol_alphabet_roundtrip():
+    cfg = PatternConfig(4, 2)
+    seen = 0
+    for n in range(5):
+        for w in itertools.product((1, 2, 3, 4), repeat=n):
+            if is_pattern_free(w, cfg):
+                trip = extract(w, cfg)
+                assert invert(n, cfg, trip) == w
+                seen += 1
+    assert seen == 285
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), max_size=9),
+)
+def test_extract_invert_roundtrip_random(a, t, symbols):
+    word = tuple(s for s in symbols if s <= a)
+    cfg = PatternConfig(a, t)
+    if not is_pattern_free(word, cfg):
+        with pytest.raises(ValueError):
+            extract(word, cfg)
+    else:
+        trip = extract(word, cfg)
+        assert invert(len(word), cfg, trip) == word
