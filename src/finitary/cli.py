@@ -251,10 +251,7 @@ def _cmd_simulate(args, stdin, stdout) -> int:
         raise ValueError("horizon must be >= 1")
     bits = parse_bits(stdin.read())
     cursor = dyadic.DyadicCursor(q, args.horizon)
-    for bit in bits:
-        cursor.feed(bit)
-        if cursor.successful:
-            break
+    cursor.read(int("".join(map(str, bits)) or "0", 2), len(bits))
     if not cursor.successful:
         raise dyadic.InsufficientBitsError("insufficient bits")
     _report(

@@ -10,8 +10,10 @@ Hoshi (1997), the DDG-tree view of Knuth and Yao (1976).
 The cursor does the refinement in exact integers: the cumulative sums become
 integer numerators over their common denominator, and the undecided interval
 is kept as numerators over one integer scale relative to the current cell.
-Ties (an endpoint landing exactly on a cell boundary) never decide, which
-keeps success monotone under extension of the bit string.
+Bits arrive as integers, a run at a time, and ``DyadicCursor.read`` is the
+one loop that refines the interval bit by bit.  Ties (an endpoint landing
+exactly on a cell boundary) never decide, which keeps success monotone
+under extension of the bit string.
 
 Also provides exact analyzers of the stopping-time law: per-depth survival
 probabilities, a rigorous enclosure of the expected stopping time, and the
@@ -36,9 +38,11 @@ class InsufficientBitsError(ValueError):
 class DyadicCursor:
     """Incremental simulator of ``horizon`` i.i.d. ``target`` symbols.
 
-    Feed bits one at a time; symbols are emitted as soon as they are
-    determined (several may cascade from a single bit).  Once ``horizon``
-    symbols have been emitted the cursor is successful and frozen.
+    ``read`` takes bits as an n-bit integer, most significant bit first,
+    and stops at success or when the bits run out; symbols are emitted as
+    soon as they are determined (several may cascade from a single bit).
+    Once ``horizon`` symbols have been emitted the cursor is successful and
+    frozen.
 
     The state is integer interval refinement.  With ``Q`` the common
     denominator of the target and ``C_0 = 0 < C_1 < ... < C_b = Q`` its
@@ -113,41 +117,51 @@ class DyadicCursor:
         scale = self._scale
         return Fraction(lo * scale + x * width, scale * den ** len(self.emitted))
 
-    def feed(self, bit: int) -> list[int]:
-        """Consume one bit; return the symbols newly determined by it."""
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    def read(self, value: int, n: int) -> int:
+        """Consume the n-bit integer ``value``, most significant bit first,
+        until the cursor succeeds or the bits run out; return the number of
+        bits consumed.  Symbols are appended to ``emitted`` as soon as they
+        are determined, several of them by one bit if the interval allows.
+
+        The bits are spelled out once, in O(n), and the state stays in
+        locals until the call returns.
+        """
+        if n < 0 or value < 0 or value.bit_length() > n:
+            raise ValueError(f"value must lie in [0, 2**n), got {value!r} with n={n}")
         emitted, horizon = self.emitted, self.horizon
         if len(emitted) == horizon:
-            raise ValueError("cursor is already successful; feeding rejected")
+            raise ValueError("cursor is already successful; reading rejected")
+        if not n:
+            return 0
         left, width, scale = self._left, self._width, self._scale
-        left = 2 * left + width if bit else 2 * left
-        scale *= 2
-        self.bits_consumed += 1
         cum, den = self._cum, self._den
-        new: list[int] = []
-        while True:
-            # Candidate j: the cell holding the left end, C_{j-1} <= L*Q/D < C_j.
-            floor, rem = divmod(left * den, scale)
-            j = bisect_right(cum, floor)
-            if rem == 0 and cum[j - 1] == floor:
-                break  # the left end is on a cell boundary
-            if (left + width) * den >= cum[j] * scale:
-                break
-            new.append(j)
-            emitted.append(j)
-            left = left * den - cum[j - 1] * scale
-            width *= den
-            scale *= cum[j] - cum[j - 1]
-            g = gcd(left, width, scale)
-            if g > 1:
-                left //= g
-                width //= g
-                scale //= g
+        for used, bit in enumerate(format(value, f"0{n}b"), 1):
+            left = 2 * left + width if bit == "1" else 2 * left
+            scale *= 2
+            while True:
+                # Candidate j: the cell holding the left end, C_{j-1} <= L*Q/D < C_j.
+                floor, rem = divmod(left * den, scale)
+                j = bisect_right(cum, floor)
+                if rem == 0 and cum[j - 1] == floor:
+                    break  # the left end is on a cell boundary
+                if (left + width) * den >= cum[j] * scale:
+                    break
+                emitted.append(j)
+                left = left * den - cum[j - 1] * scale
+                width *= den
+                scale *= cum[j] - cum[j - 1]
+                g = gcd(left, width, scale)
+                if g > 1:
+                    left //= g
+                    width //= g
+                    scale //= g
+                if len(emitted) == horizon:
+                    break
             if len(emitted) == horizon:
                 break
         self._left, self._width, self._scale = left, width, scale
-        return new
+        self.bits_consumed += used
+        return used
 
 
 def simulate_one(q: ProbabilityVector, bits: Sequence[int]) -> tuple[int, int]:
@@ -158,10 +172,9 @@ def simulate_one(q: ProbabilityVector, bits: Sequence[int]) -> tuple[int, int]:
     Raises InsufficientBitsError if the string is exhausted first.
     """
     cursor = DyadicCursor(q, 1)
-    for bit in bits:
-        emitted = cursor.feed(bit)
-        if emitted:
-            return cursor.bits_consumed, emitted[0]
+    cursor.read(int("".join(map(str, bits)) or "0", 2), len(bits))
+    if cursor.successful:
+        return cursor.bits_consumed, cursor.emitted[0]
     raise InsufficientBitsError("insufficient bits")
 
 

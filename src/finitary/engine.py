@@ -13,10 +13,12 @@ Lockstep simulators keep their offsets, so the rule is a stack, and the
 schedule runs as one left-to-right sweep over the bit positions: the latest
 started simulator that is still running reads each position.  One loop
 scans the markers, extracts each block once its closing marker has arrived
-and feeds the block's bits to the sweep.  ``encode_stream`` runs it over a
-whole stream read in chunks; ``map_range`` runs it over the window its
-indices can see, from the first block that holds one of them until the
-simulators of those blocks have finished.
+and hands the block's bits to the sweep as one integer, ``(e, offset)``.
+The simulator on top reads them a run at a time, up to its success or the
+end of the bits, in one cursor call per run.  ``encode_stream`` runs the
+loop over a whole stream read in chunks; ``map_range`` runs it over the
+window its indices can see, from the first block that holds one of them
+until the simulators of those blocks have finished.
 
 Every output index of a block shares the block's left marker, right extent
 and simulated word, so the loop yields one record per block, each once no
@@ -39,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import ProbabilityVector, SymbolError, SymbolWord, check_word
 from .dyadic import DyadicCursor
 # Callers validate the whole stream once, so block words skip the check.
-from .extractor import PatternConfig, _extract as extract
+from .extractor import PatternConfig, _extract_bits
 
 DEFAULT_MAX_WINDOW = 10**6
 
@@ -75,6 +77,21 @@ def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
     return [m.start() for m in re.finditer(pattern, data)]
 
 
+# A block's bits reach the cursors in pieces of at most this many, so that
+# handing the rest of a piece to the next simulator costs O(_PIECE) and a
+# block costs O(e) however many simulators finish inside it.
+_PIECE = 256
+
+
+def _pieces(e: int, offset: int) -> Iterable[tuple[int, int]]:
+    """The e-bit integer ``offset`` as ``(value, n)`` pieces of n <= _PIECE
+    bits, most significant first, cut in O(e)."""
+    if e <= _PIECE:
+        return ((offset, e),)
+    digits = format(offset, f"0{e}b")
+    return ((int(digits[i : i + _PIECE], 2), min(_PIECE, e - i)) for i in range(0, e, _PIECE))
+
+
 class _Sweep:
     """The schedule's stack sweep, fed one block at a time.
 
@@ -83,11 +100,14 @@ class _Sweep:
     has some), and the simulator on top of the stack reads each position.
     This is the lockstep rule, since lockstep simulators never change their
     offsets: position p is reached first by the running simulator with the
-    largest start <= p (the larger index on a tie), which is the top.
+    largest start <= p (the larger index on a tie), which is the top.  So
+    the top reads a whole run of positions in one cursor call, up to its
+    success or the end of the block's bits.
 
-    Every read is checked against the last position read and the reading
+    Every run is checked against the last position read and the reading
     simulator's own last read, which is O(1) state per simulator: no
     position is read twice and each simulator reads in increasing order.
+    A run is contiguous, so checking its first position checks all of it.
     """
 
     def __init__(self, q: ProbabilityVector):
@@ -104,35 +124,42 @@ class _Sweep:
         return self.waiting[0][0] if self.waiting else None
 
     def feed(
-        self, k: int, length: int, bits: Sequence[int]
+        self, k: int, length: int, e: int, offset: int
     ) -> Iterator[tuple[int, DyadicCursor]]:
-        """Add block k, the next block, and sweep its bits.
+        """Add block k, the next block, whose e bits are the binary digits
+        of ``offset``, and sweep them.
 
         Yields ``(simulator, cursor)`` each time a simulator succeeds.
         """
         self.waiting.append((k, length))
-        if not bits:
+        if not e:
             return
         stack, p = self.stack, self.pos
         for j, n in self.waiting:
             stack.append([j, DyadicCursor(self.q, n), -1])
         self.waiting.clear()
-        self.pos = p + len(bits)
+        self.pos = p + e
         last = self.last
         k, cursor, prev = stack[-1]
-        for p, bit in enumerate(bits, p):
-            if p <= last:
-                raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
-            if p <= prev:
-                raise InvariantViolation(f"simulator {k} read out of order")
-            last = prev = p
-            if cursor.feed(bit) and cursor.successful:
+        for value, n in _pieces(e, offset):
+            while n:
+                if p <= last:
+                    raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
+                if p <= prev:
+                    raise InvariantViolation(f"simulator {k} read out of order")
+                used = cursor.read(value, n)
+                p += used
+                n -= used
+                last = prev = p - 1
+                if not cursor.successful:
+                    break
                 stack.pop()
                 self.last = last
                 yield k, cursor
                 if not stack:
                     return
                 k, cursor, prev = stack[-1]
+                value &= (1 << n) - 1
         stack[-1][2] = prev
         self.last = last
 
@@ -289,7 +316,7 @@ def _records(
                 if marker >= first:
                     word = tuple(buf[left + t - base : marker - base])
                     markers[nxt] = (left, marker)
-                    for k, cursor in sweep.feed(nxt, marker - left, extract(word, cfg).bits):
+                    for k, cursor in sweep.feed(nxt, marker - left, *_extract_bits(word, cfg)):
                         try:
                             record = output(k, tuple(cursor.emitted), marker + t)
                         except WindowExhausted:

@@ -584,10 +584,16 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
 
 def _extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     """``extract`` for a word that ``check_word`` has already validated."""
-    rank, size, m = _rank(word, cfg)
-    e, offset = _sub_block(size, rank)
+    e, offset = _extract_bits(word, cfg)
     bits = tuple(map(int, format(offset, f"0{e}b"))) if e else ()
-    return ExtractionTriple(e, bits, class_index(m))
+    return ExtractionTriple(e, bits, class_index(count_vector(word, cfg.alphabet_size)))
+
+
+def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
+    """``(e, offset)`` of a validated word: its e extracted bits are the
+    binary digits of ``offset``, most significant first."""
+    rank, size, _ = _rank(word, cfg)
+    return _sub_block(size, rank)
 
 
 def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:

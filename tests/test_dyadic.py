@@ -20,6 +20,7 @@ F = Fraction
 FAIR = ProbabilityVector.parse("1/2,1/2")
 Q13 = ProbabilityVector.parse("1/3,2/3")
 Q14 = ProbabilityVector.parse("1/4,3/4")
+Q3 = ProbabilityVector.parse("1/5,1/3,7/15")
 
 
 def run_bits(q, horizon, bits):
@@ -28,7 +29,9 @@ def run_bits(q, horizon, bits):
     for b in bits:
         if cursor.successful:
             break
-        emitted.extend(cursor.feed(b))
+        before = len(cursor.emitted)
+        assert cursor.read(b, 1) == 1
+        emitted.extend(cursor.emitted[before:])
     return cursor, emitted
 
 
@@ -63,11 +66,11 @@ class TestCursor:
     def test_feeding_successful_cursor_rejected(self):
         c, _ = run_bits(FAIR, 1, (0, 0, 1))
         with pytest.raises(ValueError):
-            c.feed(0)
+            c.read(0, 1)
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
-            DyadicCursor(FAIR, 1).feed(2)
+            DyadicCursor(FAIR, 1).read(2, 1)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -84,13 +87,61 @@ class TestCursor:
         c, ref = DyadicCursor(q, horizon), FractionCursor(q, horizon)
         while not ref.successful:
             bit = rng.getrandbits(1)
-            assert c.feed(bit) == ref.feed(bit)
+            before = len(c.emitted)
+            assert c.read(bit, 1) == 1
+            assert c.emitted[before:] == ref.feed(bit)
             assert c.emitted == ref.emitted
             assert (c.bits_consumed, c.successful) == (ref.bits_consumed, ref.successful)
             assert (c.lo, c.hi) == (ref.lo, ref.hi)
             assert (c.cell_lo, c.cell_hi) == (ref.cell_lo, ref.cell_hi)
         with pytest.raises(ValueError):
-            c.feed(0)
+            c.read(0, 1)
+
+
+class TestRead:
+    @pytest.mark.parametrize("value,n", [(2, 1), (8, 3), (-1, 1), (0, -1), (1, 0)])
+    def test_value_outside_n_bits_rejected(self, value, n):
+        c = DyadicCursor(FAIR, 1)
+        with pytest.raises(ValueError):
+            c.read(value, n)
+        assert (c.bits_consumed, c.emitted) == (0, [])
+
+    def test_successful_cursor_rejects_any_read(self):
+        c = DyadicCursor(FAIR, 2)
+        assert c.read(0b00101, 5) == 4 and c.emitted == [1, 1]
+        for value, n in [(0, 0), (1, 1), (0b11, 2)]:
+            with pytest.raises(ValueError):
+                c.read(value, n)
+        assert c.bits_consumed == 4
+
+    def test_empty_read_consumes_nothing(self):
+        c = DyadicCursor(Q13, 3)
+        assert c.read(0, 0) == 0 and (c.bits_consumed, c.emitted) == (0, [])
+
+    @pytest.mark.parametrize("q", [FAIR, Q13, Q3], ids=["fair", "q13", "q3"])
+    def test_runs_match_reference_cursor(self, q):
+        # Random bit strings cut into random runs, empty runs and single
+        # bits among them, against the Fraction cursor fed bit by bit.
+        rng = random.Random(f"runs/{q.entries}")
+        for _ in range(300):
+            horizon = rng.randint(1, 12)
+            bits = [rng.getrandbits(1) for _ in range(rng.randint(0, 90))]
+            ref, stop = FractionCursor(q, horizon), None
+            for i, bit in enumerate(bits, 1):
+                ref.feed(bit)
+                if ref.successful:
+                    stop = i
+                    break
+            c, pos = DyadicCursor(q, horizon), 0
+            while pos < len(bits) and not c.successful:
+                run = bits[pos : pos + rng.choice([0, 1, rng.randint(2, 40)])]
+                used = c.read(int("".join(map(str, run)) or "0", 2), len(run))
+                assert used == len(run) or c.successful
+                pos += used
+            assert c.emitted == ref.emitted
+            assert c.bits_consumed == ref.bits_consumed == (pos if stop is None else stop)
+            assert c.successful == ref.successful == (stop is not None)
+            assert pos == (len(bits) if stop is None else stop)
 
 
 class TestSimulateOne:
@@ -149,7 +200,7 @@ def test_interval_nesting(bits, size, seed_shift):
     for b in bits:
         if c.successful:
             break
-        c.feed(b)
+        assert c.read(b, 1) == 1
         assert prev_lo <= c.lo and c.hi <= prev_hi
         assert c.hi - c.lo == F(1, 1 << c.bits_consumed)
         prev_lo, prev_hi = c.lo, c.hi
