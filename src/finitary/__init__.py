@@ -3,9 +3,9 @@
 The package has five layers: exact-rational primitives (:mod:`core`), the
 bit-fed symbol simulator and its exact analyzers (:mod:`dyadic`), unbiased-bit
 extraction from pattern-free words (:mod:`extractor`), the marker/block
-transform and its stack-sweep schedule (:mod:`engine`), and statistical/exact
-verification harnesses (:mod:`calibration`).  :mod:`cli` binds everything to
-text streams.
+transform and its stack-sweep schedule (:mod:`engine`), and marker-length
+selection and certification with the statistics the CLI reports
+(:mod:`calibration`).  :mod:`cli` binds everything to text streams.
 """
 
 from .core import (
@@ -22,18 +22,14 @@ from .dyadic import (
     TailReport,
     exact_symbol_law,
     exact_tail,
-    simulate_one,
 )
 from .extractor import (
     ExtractionTriple,
     PatternConfig,
     class_from_index,
     class_index,
-    class_size,
-    count_vector,
     extract,
     invert,
-    is_pattern_free,
     rank_in_class,
     unrank_in_class,
 )
@@ -51,7 +47,6 @@ from .engine import (
 from .calibration import (
     CertificationReport,
     ChiSquareReport,
-    ExtractorReport,
     Simu1Report,
     TailFit,
     certify_marker_length,
@@ -60,7 +55,6 @@ from .calibration import (
     sample_blocks,
     select_marker_length,
     tail_fit,
-    verify_extractor,
     verify_simu1,
 )
 

@@ -1,4 +1,5 @@
-"""Marker-length selection and statistical/exact verification harnesses.
+"""Marker-length selection and certification, and the checks behind the
+CLI's ``verify-bounds``, ``analyze`` and ``tails``.
 
 Monte-Carlo routines are deterministic functions of their inputs and a seed;
 the generator is numpy's PCG64 (128-bit state), and every report carries the
@@ -10,28 +11,19 @@ the level-k dyadic intervals directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ProbabilityVector, cumulative, entropy
 from .dyadic import _has_dyadic_interior
 from .engine import scan_markers
-# Sampled and enumerated words are plain in-range ints, so they skip the check;
-# sampled words lie between markers, so they are pattern-free too.
-from .extractor import (
-    PatternConfig,
-    _bit_count,
-    _extract as extract,
-    class_from_index,
-    class_size,
-    count_vector,
-    invert,
-)
+# Sampled words are in-range ints that lie between markers, so they are
+# pattern-free and skip the word check.
+from .extractor import PatternConfig, _bit_count
 
 LOG2 = math.log(2)
 # select_marker_length accepts the first t whose worst-case surplus clears
@@ -407,110 +399,4 @@ def verify_simu1(q: ProbabilityVector, kmax: int) -> Simu1Report:
         mean_hi=mean_hi,
         entropy_bound=bound,
         mean_ok=float(mean_hi) <= bound + 1e-9,
-    )
-
-
-def _contains_marker(word: tuple[int, ...], t: int) -> bool:
-    # Definitional scan, independent of the extractor's automaton.
-    n = len(word)
-    for i in range(n - t + 1):
-        if word[i] == 2 and all(word[i + d] == 1 for d in range(1, t)):
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class ExtractorReport:
-    """Exhaustive verification of the extraction triple at small lengths."""
-
-    alphabet_size: int
-    marker_len: int
-    nmax: int
-    pattern_free_counts: tuple[int, ...]
-    injective: bool
-    roundtrip: bool
-    size_bound: bool
-    partition: bool
-    uniform: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.injective
-            and self.roundtrip
-            and self.size_bound
-            and self.partition
-            and self.uniform
-        )
-
-
-def verify_extractor(
-    alphabet_size: int,
-    t: int,
-    nmax: int,
-    p_list: Iterable[ProbabilityVector],
-) -> ExtractorReport:
-    """Check injectivity, invertibility, exact conditional bit uniformity
-    for every p in ``p_list``, the 2^N <= class size bound, and the class
-    partition identity, for every word length n <= nmax.  Exhaustive."""
-    cfg = PatternConfig(alphabet_size, t)
-    p_list = list(p_list)
-    for p in p_list:
-        if p.size != alphabet_size:
-            raise ValueError("source vector size must match the alphabet")
-    injective = roundtrip = size_bound = partition = uniform = True
-    counts_per_n: list[int] = []
-    for n in range(nmax + 1):
-        free = [
-            w
-            for w in itertools.product(range(1, alphabet_size + 1), repeat=n)
-            if not _contains_marker(w, t)
-        ]
-        counts_per_n.append(len(free))
-        triples: dict[tuple, tuple[int, ...]] = {}
-        class_totals: dict[tuple[int, ...], int] = {}
-        masses = [dict() for _ in p_list]
-        for w in free:
-            trip = extract(w, cfg)
-            key = (trip.num_bits, trip.bits, trip.class_id)
-            if key in triples:
-                injective = False
-            triples[key] = w
-            if invert(n, cfg, trip) != w:
-                roundtrip = False
-            m = count_vector(w, alphabet_size)
-            d = class_size(m, cfg)
-            if (1 << trip.num_bits) > d:
-                size_bound = False
-            class_totals[m] = class_totals.get(m, 0) + 1
-            for mass, p in zip(masses, p_list):
-                weight = Fraction(1)
-                for sym, cnt in enumerate(m, start=1):
-                    weight *= p.prob(sym) ** cnt
-                bucket = mass.setdefault(trip.num_bits, {})
-                bits_key = trip.bits
-                bucket[bits_key] = bucket.get(bits_key, Fraction(0)) + weight
-        for m, observed in class_totals.items():
-            if class_size(m, cfg) != observed:
-                partition = False
-        ncls = math.comb(n + alphabet_size - 1, alphabet_size - 1)
-        all_vectors = [class_from_index(n, alphabet_size, g) for g in range(1, ncls + 1)]
-        if sum(class_size(m, cfg) for m in all_vectors) != len(free):
-            partition = False
-        for mass in masses:
-            for k, bucket in mass.items():
-                if len(bucket) != (1 << k):
-                    uniform = False
-                if len(set(bucket.values())) > 1:
-                    uniform = False
-    return ExtractorReport(
-        alphabet_size=alphabet_size,
-        marker_len=t,
-        nmax=nmax,
-        pattern_free_counts=tuple(counts_per_n),
-        injective=injective,
-        roundtrip=roundtrip,
-        size_bound=size_bound,
-        partition=partition,
-        uniform=uniform,
     )

@@ -26,7 +26,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .core import ProbabilityVector, cumulative
 
@@ -54,10 +53,6 @@ class DyadicCursor:
       ``(L+W)*Q < C_j*D``, both strict, so a tie never decides;
     - emitting ``j`` rescales the cell to [0, 1]: ``L <- L*Q - C_{j-1}*D``,
       ``W <- W*Q``, ``D <- D*(C_j - C_{j-1})``, then divides out the gcd.
-
-    ``lo``/``hi`` (the absolute dyadic interval read so far) and
-    ``cell_lo``/``cell_hi`` (the absolute cell of the emitted symbols) are
-    exact ``Fraction`` views of that state and ``emitted``.
 
     A degenerate single-symbol target is supported; it still consumes at
     least two bits, since the interval must clear both endpoints of [0, 1].
@@ -90,32 +85,6 @@ class DyadicCursor:
     @property
     def successful(self) -> bool:
         return len(self.emitted) == self.horizon
-
-    @property
-    def lo(self) -> Fraction:
-        return self._absolute(self._left)
-
-    @property
-    def hi(self) -> Fraction:
-        return self._absolute(self._left + self._width)
-
-    @property
-    def cell_lo(self) -> Fraction:
-        return self._absolute(0)
-
-    @property
-    def cell_hi(self) -> Fraction:
-        return self._absolute(self._scale)
-
-    def _absolute(self, x: int) -> Fraction:
-        """The point at ``x/D`` of the emitted symbols' cell, in [0, 1]."""
-        cum, den = self._cum, self._den
-        lo, width = 0, 1  # the cell is [lo, lo + width] / Q^m
-        for j in self.emitted:
-            lo = lo * den + cum[j - 1] * width
-            width *= cum[j] - cum[j - 1]
-        scale = self._scale
-        return Fraction(lo * scale + x * width, scale * den ** len(self.emitted))
 
     def read(self, value: int, n: int) -> int:
         """Consume the n-bit integer ``value``, most significant bit first,
@@ -162,20 +131,6 @@ class DyadicCursor:
         self._left, self._width, self._scale = left, width, scale
         self.bits_consumed += used
         return used
-
-
-def simulate_one(q: ProbabilityVector, bits: Sequence[int]) -> tuple[int, int]:
-    """Run the one-symbol simulation on a finite bit string.
-
-    Returns ``(T, S)`` where T is the number of bits consumed and S the
-    emitted symbol.  Extending ``bits`` beyond T never changes the result.
-    Raises InsufficientBitsError if the string is exhausted first.
-    """
-    cursor = DyadicCursor(q, 1)
-    cursor.read(int("".join(map(str, bits)) or "0", 2), len(bits))
-    if cursor.successful:
-        return cursor.bits_consumed, cursor.emitted[0]
-    raise InsufficientBitsError("insufficient bits")
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,7 @@ def encode_stream(
     """
     return _records(_checked(chunks, cfg.alphabet_size), cfg, q, max_window)
 
+
 def certified_radius(
     stream: Sequence[int],
     cfg: PatternConfig,

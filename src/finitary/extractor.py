@@ -86,71 +86,9 @@ class ExtractionTriple:
             raise ValueError("class index must be >= 1")
 
 
-def _advance(state: int, symbol: int) -> int:
-    """Length of the longest suffix matching a prefix of the pattern.
-
-    The caller treats a result equal to the marker length as a completed
-    occurrence (dead for pattern-free words).
-    """
-    if symbol == 2:
-        return 1
-    if symbol == 1 and state:
-        return state + 1
-    return 0
-
-
-def is_pattern_free(word: SymbolWord, cfg: PatternConfig) -> bool:
-    """True iff no full occurrence of the pattern starts inside the word."""
-    state = 0
-    for s in word:
-        state = _advance(state, s)
-        if state == cfg.marker_len:
-            return False
-    return True
-
-
-def count_vector(word: SymbolWord, alphabet_size: int) -> tuple[int, ...]:
-    m = [0] * alphabet_size
-    for s in word:
-        if not 1 <= s <= alphabet_size:
-            raise ValueError(f"symbol {s} outside 1..{alphabet_size}")
-        m[s - 1] += 1
-    return tuple(m)
-
-
 def _check_counts(m: tuple[int, ...]) -> None:
     if len(m) < 2 or any(c < 0 for c in m):
         raise ValueError(f"bad count vector {m!r}")
-
-
-def class_size(m: tuple[int, ...], cfg: PatternConfig) -> int:
-    """Number of pattern-free words with count vector ``m``.
-
-    Recursion over (remaining counts, automaton state) with a memo local to
-    the call; intended for desk-scale counts.  It shares nothing with the
-    inclusion-exclusion terms that rank/extract walk, so the two routes
-    cross-check each other (see ``verify_extractor`` and the tests).
-    """
-    _check_counts(m)
-    if len(m) != cfg.alphabet_size:
-        raise ValueError("count vector length does not match alphabet size")
-    t = cfg.marker_len
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def count(rest: tuple[int, ...], state: int) -> int:
-        if not any(rest):
-            return 1
-        key = (rest, state)
-        if key not in memo:
-            total = 0
-            for c, cnt in enumerate(rest, start=1):
-                nxt = _advance(state, c)
-                if cnt and nxt != t:
-                    total += count(rest[: c - 1] + (cnt - 1,) + rest[c:], nxt)
-            memo[key] = total
-        return memo[key]
-
-    return count(tuple(m), 0)
 
 
 def _terms(m: tuple[int, ...], t: int) -> list[int]:
@@ -579,14 +517,10 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     of size 2^e the word's offset from the block's top rank is written out as
     e bits (most significant first).
     """
-    return _extract(check_word(word, cfg.alphabet_size), cfg)
-
-
-def _extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
-    """``extract`` for a word that ``check_word`` has already validated."""
-    e, offset = _extract_bits(word, cfg)
+    rank, size, counts = _rank(check_word(word, cfg.alphabet_size), cfg)
+    e, offset = _sub_block(size, rank)
     bits = tuple(map(int, format(offset, f"0{e}b"))) if e else ()
-    return ExtractionTriple(e, bits, class_index(count_vector(word, cfg.alphabet_size)))
+    return ExtractionTriple(e, bits, class_index(counts))
 
 
 def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
@@ -597,7 +531,7 @@ def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
 
 
 def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
-    """``_extract(word, cfg).num_bits``, ranking only as far as it takes.
+    """``extract(word, cfg).num_bits``, ranking only as far as it takes.
 
     The walk stops at the first step whose rank interval lies inside one
     power-of-two sub-block.  It keeps the sub-block that holds the

@@ -10,25 +10,23 @@ arithmetic over absolute cell bounds; the package's integer cursor is checked
 against it.  ``naive_rank_in_class``/``naive_unrank_in_class`` are the
 within-class ranker as first written: every candidate symbol recounts its
 completions from a cached factorial table, where the package walks the
-inclusion-exclusion terms once.
+inclusion-exclusion terms once.  ``class_size`` counts a class by recursion
+over the pattern automaton, with no inclusion-exclusion at all, and
+``verify_extractor`` checks the extraction triple on every short word.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from finitary.core import ProbabilityVector, SymbolWord, check_word, cumulative
-from finitary.extractor import (
-    PatternConfig,
-    _advance,
-    _check_counts,
-    count_vector,
-    extract,
-)
+from finitary.extractor import PatternConfig, class_from_index, extract, invert
 
 
 def contains_marker(word, t) -> bool:
@@ -45,6 +43,102 @@ def brute_pattern_free(a, t, n):
         for w in itertools.product(range(1, a + 1), repeat=n)
         if not contains_marker(w, t)
     ]
+
+
+def count_vector(word, a) -> tuple[int, ...]:
+    counts = Counter(word)
+    return tuple(counts[s] for s in range(1, a + 1))
+
+
+def _check_class(m, cfg: PatternConfig) -> None:
+    if len(m) != cfg.alphabet_size or any(c < 0 for c in m):
+        raise ValueError(f"bad count vector {m!r}")
+
+
+def _advance(state: int, symbol: int) -> int:
+    """Length of the longest suffix matching a prefix of the pattern; the
+    marker length itself is a completed occurrence."""
+    if symbol == 2:
+        return 1
+    if symbol == 1 and state:
+        return state + 1
+    return 0
+
+
+def class_size(m: tuple[int, ...], cfg: PatternConfig) -> int:
+    """Number of pattern-free words with count vector ``m``, by recursion
+    over (remaining counts, automaton state): no inclusion-exclusion."""
+    _check_class(m, cfg)
+    t = cfg.marker_len
+
+    @lru_cache(maxsize=None)
+    def count(rest: tuple[int, ...], state: int) -> int:
+        if not any(rest):
+            return 1
+        total = 0
+        for c, cnt in enumerate(rest, start=1):
+            nxt = _advance(state, c)
+            if cnt and nxt != t:
+                total += count(rest[: c - 1] + (cnt - 1,) + rest[c:], nxt)
+        return total
+
+    return count(tuple(m), 0)
+
+
+@dataclass(frozen=True)
+class ExtractorReport:
+    """Exhaustive verification of the extraction triple at small lengths;
+    ``failed`` names every property that fails at some length."""
+
+    pattern_free_counts: tuple[int, ...]
+    failed: frozenset[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
+
+
+def verify_extractor(a, t, nmax, p_list) -> ExtractorReport:
+    """For every word length n <= nmax: ``extract`` is injective, ``invert``
+    undoes it, 2^N never exceeds the class size (``size_bound``), the
+    classes partition the pattern-free words, and under every p in
+    ``p_list`` the bits are exactly uniform given their count."""
+    cfg = PatternConfig(a, t)
+    if any(p.size != a for p in p_list):
+        raise ValueError("source vector size must match the alphabet")
+    failed = set()
+    counts_per_n = []
+    for n in range(nmax + 1):
+        free = brute_pattern_free(a, t, n)
+        counts_per_n.append(len(free))
+        triples = set()
+        class_totals = Counter()
+        masses = [defaultdict(Counter) for _ in p_list]
+        for w in free:
+            trip = extract(w, cfg)
+            key = (trip.num_bits, trip.bits, trip.class_id)
+            if key in triples:
+                failed.add("injective")
+            triples.add(key)
+            if invert(n, cfg, trip) != w:
+                failed.add("roundtrip")
+            m = count_vector(w, a)
+            if (1 << trip.num_bits) > class_size(m, cfg):
+                failed.add("size_bound")
+            class_totals[m] += 1
+            for mass, p in zip(masses, p_list):
+                weight = math.prod(p.prob(s) ** c for s, c in enumerate(m, start=1))
+                mass[trip.num_bits][trip.bits] += weight
+        if any(class_size(m, cfg) != k for m, k in class_totals.items()):
+            failed.add("partition")
+        classes = range(1, math.comb(n + a - 1, a - 1) + 1)
+        if sum(class_size(class_from_index(n, a, g), cfg) for g in classes) != len(free):
+            failed.add("partition")
+        for mass in masses:
+            for k, bucket in mass.items():
+                if len(bucket) != 1 << k or len(set(bucket.values())) > 1:
+                    failed.add("uniform")
+    return ExtractorReport(tuple(counts_per_n), frozenset(failed))
 
 
 def prefix_decides(q: ProbabilityVector, bits) -> int | None:
@@ -382,9 +476,7 @@ def naive_unrank_in_class(
     m: tuple[int, ...], cfg: PatternConfig, rank: int
 ) -> SymbolWord:
     """Inverse of naive_rank_in_class on the class with count vector ``m``."""
-    _check_counts(m)
-    if len(m) != cfg.alphabet_size:
-        raise ValueError("count vector length does not match alphabet size")
+    _check_class(m, cfg)
     t = cfg.marker_len
     total = _completions(tuple(m), 0, t)
     if not 1 <= rank <= total:

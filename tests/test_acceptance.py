@@ -21,7 +21,7 @@ from finitary.core import ProbabilityVector, entropy
 from finitary.engine import InvariantViolation, _Sweep
 from finitary.extractor import PatternConfig
 
-from oracles import brute_survival
+from oracles import brute_survival, verify_extractor
 
 ACC_SEED = 20260810
 FAIR = ProbabilityVector.parse("1/2,1/2")
@@ -117,9 +117,9 @@ def test_criterion_4_extractor_exhaustive_suite():
         binary_ps = [FAIR, Q13]
         ternary_ps = [UNIF3, ProbabilityVector.parse("1/6,1/3,1/2")]
         for t in (2, 3):
-            rep = F.verify_extractor(2, t, 8, binary_ps)
+            rep = verify_extractor(2, t, 8, binary_ps)
             assert rep.ok, rep
-            rep = F.verify_extractor(3, t, 6, ternary_ps)
+            rep = verify_extractor(3, t, 6, ternary_ps)
             assert rep.ok, rep
         assert time.monotonic() - started < 60.0
 
@@ -273,11 +273,14 @@ def test_criterion_12_documented_discrepancy_regressions():
         assert F.exact_tail(Q13, 16).tight_bound_ok
         # (b) Full containment: the word equal to the pattern itself is NOT
         # pattern-free, even though no occurrence starts at a position in
-        # {1..n-t} (that index set is empty at n = t).
+        # {1..n-t} (that index set is empty at n = t).  The extractor
+        # rejects it and the scanner finds its marker.
         cfg = PatternConfig(2, 3)
         word = (2, 1, 1)
         assert len(word) == cfg.marker_len
-        assert not F.is_pattern_free(word, cfg)
+        with pytest.raises(ValueError):
+            F.extract(word, cfg)
+        assert F.scan_markers(word, cfg) == [0]
         # (c) Class indices range over all count vectors: C(n+a-1, a-1), which
         # exceeds n^(a-1) already at a=2, n=3.
         assert F.class_index((3, 0)) == 4 > 3 ** (2 - 1)

@@ -14,12 +14,13 @@ from finitary.calibration import (
     sample_blocks,
     select_marker_length,
     tail_fit,
-    verify_extractor,
     verify_simu1,
 )
 from finitary.core import ProbabilityVector
 from finitary.dyadic import exact_tail
-from finitary.extractor import _extract
+from finitary.extractor import extract
+
+from oracles import verify_extractor
 
 F = Fraction
 FAIR = ProbabilityVector.parse("1/2,1/2")
@@ -91,7 +92,7 @@ class TestCertify:
         # Stopping each rank walk early must leave every field as it was
         # when each block was extracted to its last symbol.
         rep = certify_marker_length(p, FAIR, t, trials, seed)
-        monkeypatch.setattr(calibration, "_bit_count", lambda w, cfg: _extract(w, cfg).num_bits)
+        monkeypatch.setattr(calibration, "_bit_count", lambda w, cfg: extract(w, cfg).num_bits)
         assert rep == certify_marker_length(p, FAIR, t, trials, seed)
 
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finitary import extractor
+from finitary.engine import scan_markers
 from finitary.extractor import (
     ExtractionTriple,
     PatternConfig,
     _bit_count,
-    _extract,
     _free_count,
     _sub_block,
     _term_walk,
@@ -20,18 +20,17 @@ from finitary.extractor import (
     _window_walk,
     class_from_index,
     class_index,
-    class_size,
-    count_vector,
     extract,
     invert,
-    is_pattern_free,
     rank_in_class,
     unrank_in_class,
 )
 
 from oracles import (
     brute_pattern_free,
+    class_size,
     contains_marker,
+    count_vector,
     naive_rank_in_class,
     naive_unrank_in_class,
 )
@@ -53,23 +52,33 @@ class TestConfig:
 
 
 class TestPatternFree:
+    """Containment is full containment, in the extractor and the scanner."""
+
     def test_the_pattern_itself(self):
-        assert not is_pattern_free((2, 1, 1), CFG23)
+        with pytest.raises(ValueError, match="marker pattern"):
+            extract((2, 1, 1), CFG23)
+        assert scan_markers((2, 1, 1), CFG23) == [0]
 
     def test_scrambled_word_is_free(self):
-        assert is_pattern_free((1, 2, 1), CFG23)
+        assert extract((1, 2, 1), CFG23).class_id > 0
+        assert scan_markers((1, 2, 1), CFG23) == []
 
     def test_short_words_always_free(self):
         for n in range(CFG23.marker_len):
             for w in itertools.product((1, 2), repeat=n):
-                assert is_pattern_free(w, CFG23)
+                assert extract(w, CFG23).class_id > 0
 
     @pytest.mark.parametrize("a,t", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_matches_substring_scan(self, a, t):
         cfg = PatternConfig(a, t)
         for n in range(7):
             for w in itertools.product(range(1, a + 1), repeat=n):
-                assert is_pattern_free(w, cfg) == (not contains_marker(w, t))
+                assert bool(scan_markers(w, cfg)) == contains_marker(w, t)
+                if contains_marker(w, t):
+                    with pytest.raises(ValueError, match="marker pattern"):
+                        extract(w, cfg)
+                else:
+                    extract(w, cfg)
 
 
 class TestClassSize:
@@ -421,7 +430,7 @@ def _with_runs_across_windows(rng, a, t, n):
             ones = rng.randrange(t - 1)
             at = k * size - 1 - rng.randrange(ones + 1)
             w = _splice(w, at, (2,) + (1,) * ones + (3,))
-        if is_pattern_free(w, PatternConfig(a, t)):
+        if not contains_marker(w, t):
             return w
 
 
@@ -451,7 +460,7 @@ class TestEarlyStop:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(extractor, "_walk", getattr(extractor, name))
                     for w, e in cases:
-                        assert _bit_count(w, cfg) == e == _extract(w, cfg).num_bits
+                        assert _bit_count(w, cfg) == e == extract(w, cfg).num_bits
 
     @pytest.mark.parametrize("a,t", [(3, 3), (3, 6), (4, 8)])
     def test_every_interval_holds_the_rank(self, a, t):
@@ -600,7 +609,7 @@ def _families(t, L):
     (2 1^(t-2))^L 3^L over {1, 2, 3}."""
     run = (2,) + (1,) * (t - 2)
     words = [(2, 1) * L + (3,), (2, 1, 3) * L, (run + (3,)) * L, run * L + (3,) * L]
-    return [w for w in words if is_pattern_free(w, PatternConfig(3, t))]
+    return [w for w in words if not contains_marker(w, t)]
 
 
 class TestWindowWalk:
@@ -668,7 +677,7 @@ class TestWindowWalk:
         assert ranks[0] == ranks[1]
         for cut in range(8, 12):
             short = word[:cut] + word[-cut:]
-            if is_pattern_free(short, cfg):
+            if not contains_marker(short, t):
                 assert _rank_by_each_walk(short, cfg) == [naive_rank_in_class(short, cfg)] * 2
         calls = _count_terms_calls(monkeypatch)
         monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
@@ -728,7 +737,7 @@ def test_four_symbol_alphabet_roundtrip():
     seen = 0
     for n in range(5):
         for w in itertools.product((1, 2, 3, 4), repeat=n):
-            if is_pattern_free(w, cfg):
+            if not contains_marker(w, 2):
                 trip = extract(w, cfg)
                 assert invert(n, cfg, trip) == w
                 seen += 1
@@ -743,7 +752,7 @@ def test_four_symbol_alphabet_roundtrip():
 def test_extract_invert_roundtrip_random(a, t, symbols):
     word = tuple(s for s in symbols if s <= a)
     cfg = PatternConfig(a, t)
-    if not is_pattern_free(word, cfg):
+    if contains_marker(word, t):
         with pytest.raises(ValueError):
             extract(word, cfg)
     else:
