@@ -9,6 +9,7 @@ Reports are TAB-separated key/value lines.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ EXIT_INPUT = 1
 EXIT_WINDOW = 2
 EXIT_VERIFY = 3
 
-READ_SIZE = 1 << 16  # characters of stdin that ``encode`` reads at a time
+READ_SIZE = 1 << 16  # most bytes of stdin that ``encode`` reads at a time
 
 _CONFIG_KEYS = {"a", "q", "eps", "t", "seed", "max_window"}
 
@@ -205,15 +206,35 @@ def _merge_encode_config(args) -> Config:
     return Config(**fields)
 
 
+def _pieces(stdin):
+    """The text on stdin, in pieces as it arrives.
+
+    A stream with a binary buffer is read with ``read1``, which returns what
+    a pipe holds, up to READ_SIZE bytes, instead of waiting for READ_SIZE
+    bytes or the end of input; the bytes are decoded incrementally.  A text
+    stream without one, such as a ``StringIO``, is read READ_SIZE characters
+    at a time.
+    """
+    read1 = getattr(getattr(stdin, "buffer", None), "read1", None)
+    if read1 is None:
+        while piece := stdin.read(READ_SIZE):
+            yield piece
+        return
+    decoder = codecs.getincrementaldecoder(stdin.encoding)(stdin.errors)
+    while chunk := read1(READ_SIZE):
+        yield decoder.decode(chunk)
+    yield decoder.decode(b"", final=True)
+
+
 def _read_symbols(stdin, stdout):
-    """The symbols on stdin, as one list per piece of READ_SIZE characters.
+    """The symbols on stdin, as one list per piece of ``_pieces``.
 
     A token cut by the end of a piece is carried into the next.  stdout is
     flushed before each read after the first, so the lines written so far
     leave while the encoder waits for input.
     """
     carry = ""
-    while piece := stdin.read(READ_SIZE):
+    for piece in _pieces(stdin):
         text = carry + piece
         tokens = text.split()
         carry = tokens.pop() if tokens and not text[-1].isspace() else ""

@@ -126,8 +126,14 @@ def check_word(symbols: Sequence[int], alphabet_size: int, start: int = 0) -> Sy
     """Validate a word over the alphabet ``{1..alphabet_size}``.
 
     Accepts any integral symbol type (numpy ints included) and returns plain
-    Python ints.  Errors give positions counted from ``start``.
+    Python ints.  Errors give positions counted from ``start``.  A list or
+    tuple of plain ints in range is checked in bulk; anything else, and any
+    word that fails, goes symbol by symbol, which finds the first bad one.
     """
+    if isinstance(symbols, (list, tuple)) and set(map(type, symbols)) <= {int}:
+        values = set(symbols)
+        if not values or (1 <= min(values) and max(values) <= alphabet_size):
+            return tuple(symbols)
     out = []
     for pos, s in enumerate(symbols, start):
         try:

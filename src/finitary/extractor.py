@@ -21,16 +21,22 @@ of its symbols other than 1 and f(n, c, e) = [z^n] (1-z^(t-1))^c (1-z)^-e
 satisfies an order-t recurrence with coefficients linear in n, so each
 symbol moves the window by a few exact small-integer steps.  The backward
 step of that recurrence fails at one index; there the walk reads a
-companion window that never steps backward.  A word whose term vector
-has more than t terms and a first term wider than 512 bits takes the window
-walk; the rest, the short blocks and t = 1 among them, take the term loop,
-where a few narrow terms cost less than t window values.  Nothing is cached
-between calls, so memory is bounded by the longest word in flight.
+companion window that never steps backward.  The window's values share one
+denominator, so most steps multiply instead of dividing, and one division
+by the denominator, once it is wider than 256 bits, stands for many by
+small integers (Bareiss's fraction-free elimination, 1968).  A word whose
+term vector has more than t terms and a first term wider than 512 bits
+takes the window walk; the rest, the short blocks and t = 1 among them,
+take the term loop, where a few narrow terms cost less than t window
+values.  Nothing is cached between calls, so memory is bounded by the
+longest word in flight.
 
-Both walks yield ``(rank, span)`` at every step, with the final rank in
+The term loop yields ``(rank, span)`` at every step, with the final rank in
 ``[rank, rank + span - 1]``.  So a caller that needs only the bit count
 (``_bit_count``) stops as soon as that interval fits inside one power-of-two
-sub-block, which is usually a few symbols in.
+sub-block, which is usually a few symbols in.  The window walk returns only
+the final rank, so on a word that takes it ``_bit_count`` tries t term-loop
+steps and then takes the full rank.
 
 The inverse, ``unrank_in_class``, rebuilds the word from the same terms
 with one exact division per term for each candidate symbol it tries, and a
@@ -128,6 +134,10 @@ def _free_count(m: tuple[int, ...], t: int) -> int:
 # Term vectors of more than t terms whose first term has more bits than this
 # are ranked by the window walk; the rest by the term loop.
 _WIDE_BITS = 512
+
+# The window walk divides its values by their common denominator once that
+# is wider than this many bits.
+_FLUSH_BITS = 256
 
 
 def _term_walk(
@@ -232,28 +242,8 @@ def _extend(g: list[int], top: int, s: int, c: int, k: int, count: int) -> None:
         )
 
 
-def _after_two(g: list[int], lo: int, s: int, c: int, k: int, count: int) -> list[int]:
-    """G(lo-s+1), ..., G(lo+count) once a 2 leaves, from ``g`` = G(lo), ...,
-    G(lo+s) before it (``c``, ``k`` as in ``_extend``, before the 2 leaves).
-
-    The first s values come from (1-z) f'_{c,e} = -cs z^(s-1) f_{c-1,e-1}
-    + e f_{c,e}, which gives G'(N) = ((N+s-1+e) G(N+s-1) - (N+s) G(N+s)) /
-    (s k); the rest from (1-z) f_{c,e} = (1-z^s) f_{c-1,e-1}, which gives
-    G'(n) = G'(n-s) + (G(n) - G(n-1)) c / k.  Every division is exact.
-    """
-    new = [
-        ((n + s + k) * g[i] - (n + s) * g[i + 1]) // (s * k)
-        for i, n in enumerate(range(lo - s + 1, lo + 1))
-    ]
-    for i in range(count):
-        new.append(new[-s] + (g[i + 1] - g[i]) * c // k)
-    return new
-
-
-def _window_walk(
-    word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(rank, span)`` along the window walk over a validated word.
+def _window_walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int) -> int:
+    """The rank of a validated word, by the window walk.
 
     With s = t-1, a suffix with m_1 ones, c twos and k symbols other than 1
     has G(m_1) pattern-free orders, where G(n) = M f(n, c, k+1), M counts the
@@ -269,33 +259,47 @@ def _window_walk(
     also adds (G(m_1) - G(m_1-1)) (m_2 + ... + m_{sym-1}) / k.  Then the
     symbol leaves.  A 1 slides the window down by one backward step of the
     recurrence.  A symbol above 2 takes one backward step and sets G(n) <-
-    (G(n) - G(n-1)) m_sym / k.  A 2 goes through ``_after_two``.  Every
-    division is exact.
+    (G(n) - G(n-1)) m_sym / k.  A 2 sets the lowest value from (1-z)
+    f'_{c,e} = -cs z^(s-1) f_{c-1,e-1} + e f_{c,e}, which gives
+
+        s k G'(N) = k G(N+s-1) - (N+s) (G(N+s) - G(N+s-1)),
+
+    and the rest from (1-z) f_{c,e} = (1-z^s) f_{c-1,e-1}, which gives
+    G'(n) = G'(n-s) + (G(n) - G(n-1)) c / k, so that
+
+        s k G'(n) = k G(n-1) + (cs - n) (G(n) - G(n-1)).
+
+    Those divisions by s k and by k are deferred, as in Bareiss's
+    fraction-free elimination (1968): every value, and the rank added since
+    the last division, is kept as D times itself for one common denominator
+    D.  A 2 multiplies D by s k and a symbol above 2 by k.  The backward
+    step and the companion's forward steps still divide at once; their
+    quotients are exact over D too, since each value is D times an integer.
+    Once D is wider than ``_FLUSH_BITS`` bits, every value and the pending
+    rank are divided by D, and D is 1 again.  So one division by a wide D
+    stands for many by small integers.
 
     The backward step to index N divides by cs - e - N and fails at
     N = cs - e, the singular index.  There it reads G(N) from a companion
     window ``h`` = G(N), ..., G(N+s), which never steps backward: a 2 lowers
-    N by s-1 through ``_after_two``, and a symbol above 2 raises it by 1
+    N by s-1 with the 2's own step, and a symbol above 2 raises it by 1
     with one forward step, which divides by n+1.  The companion is
     kept while max(N, 0) < m_1 - s, the only time the main window can step
     down onto N.  It is seeded from ``_terms`` at the start; later only a 2
     can bring it back, by moving N below the main window, and then it is a
-    slice of the main window's ``_after_two``.  While N < 0 only G(0) = M
-    matters, and it is kept instead; a symbol above 2 takes N to 0, and
-    ``h`` is rebuilt from M by s forward steps.  So each symbol costs O(t)
-    exact operations, and a word calls ``_terms`` at most once here.
-
-    ``span`` is the number of completions of the prefix walked so far,
-    G(m_1), or G(m_1) - G(m_1-s+j) after a 2; the rank is the first
-    completion's, so the final rank lies in ``[rank, rank + span - 1]``.
-    Raises ValueError when the word contains the pattern.
+    slice of the main window's 2-step, extended below the window by the
+    first formula.  While N < 0 only G(0) = M matters, and it is kept
+    instead; a symbol above 2 takes N to 0, and ``h`` is rebuilt from M by
+    s forward steps.  So each symbol costs O(t) exact operations, and a
+    word calls ``_terms`` at most once here.  Raises ValueError when the
+    word contains the pattern.
     """
     s = t - 1
     m = list(counts)
     ones, c = m[0], m[1]
     k = len(word) - ones
-    yield 1, sum(terms)
-    rank = 1
+    rank, pending, d = 1, 0, 1  # the rank is rank + pending / d
+    flush = _FLUSH_BITS
     g = _ones_down(counts, terms, s)
     star = c * s - k - 1
     h = big_m = None
@@ -307,23 +311,34 @@ def _window_walk(
     j = -1  # ones after the last 2 while its run is open, else -1
     for sym in word:
         if sym > 1:
-            rank += g[s - 1] - (g[j] if j >= 0 else 0)
-            if sym > 2:
-                rank += (g[s] - g[s - 1]) * sum(m[1 : sym - 1]) // k
+            pending += g[s - 1] - (g[j] if j >= 0 else 0)
         if sym == 2:
             j = 0
-            new = _after_two(g, ones - s, s, c, k, s)  # G'(ones-2s+1 .. ones)
-            g = new[s - 1 :]
+            cs = c * s
+            n = ones - s + 1
+            old = g
+            g = [k * a + (cs - p) * (b - a) for p, a, b in zip(range(n, n + s), g, g[1:])]
+            g.insert(0, g[-1] - cs * (old[s] - old[s - 1]))
             if big_m is not None:
-                big_m = big_m * c // k
+                big_m *= cs
             elif h is not None:
-                h = _after_two(h, star, s, c, k, 1)
+                n = star + 1
+                h = [
+                    *(k * a - p * (b - a) for p, a, b in zip(range(n, n + s), h, h[1:])),
+                    k * h[0] + (cs - n) * (h[1] - h[0]),
+                ]
             elif max(star - s + 1, 0) < ones - s:
-                at = star - s + 1 - (ones - 2 * s + 1)
-                h = new[at : at + t]
+                # The companion G'(N-s+1 .. N+1) starts below the new window.
+                below = [
+                    k * a - p * (b - a) for p, a, b in zip(range(n, n + s - 1), old, old[1:])
+                ]
+                at = star + s - ones
+                h = (below + g)[at : at + t]
             star -= s - 1
             if h is not None and star < 0:
                 h, big_m = None, h[-star]
+            pending *= s * k
+            d *= s * k
             c -= 1
             k -= 1
         else:
@@ -349,12 +364,14 @@ def _window_walk(
                 ones -= 1
             else:
                 mult = m[sym - 1]
-                g = [(b - a) * mult // k for a, b in zip([low, *g], g)]
+                pending = pending * k + (g[s] - g[s - 1]) * sum(m[1 : sym - 1])
+                g = [(b - a) * mult for a, b in zip([low, *g], g)]
                 if big_m is not None:
-                    big_m = big_m * mult // k
+                    big_m *= mult
                 elif h is not None:
                     _extend(h, star + s, s, c, k, 1)
-                    h = [(b - a) * mult // k for a, b in zip(h, h[1:])]
+                    h = [(b - a) * mult for a, b in zip(h, h[1:])]
+                d *= k
                 star += 1
                 k -= 1
                 if big_m is not None and star == 0 and ones > s:
@@ -362,21 +379,34 @@ def _window_walk(
                     _extend(h, 0, s, c, k, s)
                     h, big_m = h[s:], None
         m[sym - 1] -= 1
-        if max(star, 0) >= ones - s:
+        if star >= ones - s or ones <= s:
             h = big_m = None
-        yield rank, g[s] - (g[j] if j >= 0 else 0)
+        if d.bit_length() > flush:
+            g = [u // d for u in g]
+            if h is not None:
+                h = [u // d for u in h]
+            elif big_m is not None:
+                big_m //= d
+            rank += pending // d
+            pending, d = 0, 1
+    return rank + pending // d
 
 
-def _walk(
-    word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
-) -> Iterator[tuple[int, int]]:
-    """The rank walk for a validated word: the window walk when ``terms``
-    has more than t terms and its first is wider than ``_WIDE_BITS``, else
-    the term loop.  On short words the term loop is the faster of the two,
-    and at t = 1 every class has one term."""
-    if len(terms) > t and terms[0].bit_length() > _WIDE_BITS:
+def _wide(terms: list[int], t: int) -> bool:
+    """Whether the window walk ranks a word with these ``_terms``: more
+    than t terms, the first wider than ``_WIDE_BITS``.  On short words the
+    term loop is the faster walk, and at t = 1 every class has one term."""
+    return len(terms) > t and terms[0].bit_length() > _WIDE_BITS
+
+
+def _walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int) -> int:
+    """The rank of a validated word: by the window walk when ``_wide``, else
+    by the term loop run to its end, which consumes ``terms``."""
+    if _wide(terms, t):
         return _window_walk(word, counts, terms, t)
-    return _term_walk(word, counts, terms, t)
+    for rank, _ in _term_walk(word, counts, terms, t):
+        pass
+    return rank
 
 
 def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
@@ -385,9 +415,7 @@ def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ..
     counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
     terms = _terms(counts, cfg.marker_len)
     size = sum(terms)
-    for rank, _ in _walk(word, counts, terms, cfg.marker_len):
-        pass
-    return rank, size, counts
+    return _walk(word, counts, terms, cfg.marker_len), size, counts
 
 
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
@@ -533,21 +561,29 @@ def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
 def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     """``extract(word, cfg).num_bits``, ranking only as far as it takes.
 
-    The walk stops at the first step whose rank interval lies inside one
-    power-of-two sub-block.  It keeps the sub-block that holds the
+    The term loop stops at the first step whose rank interval lies inside
+    one power-of-two sub-block.  It keeps the sub-block that holds the
     interval's low end, which only grows: 2^e ranks up to ``top``.  A class
-    size that is a power of two settles at the start.  The word must be
-    validated and pattern-free: a pattern after the stop goes unnoticed.
+    size that is a power of two settles at the start.  On a word that
+    ``_walk`` sends to the window walk, each term-loop step costs a pass
+    over many wide terms, so after t unsettled steps the count comes from
+    the full rank instead.  The word must be validated and pattern-free: a
+    pattern after the stop goes unnoticed.
     """
+    t = cfg.marker_len
     counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
-    terms = _terms(counts, cfg.marker_len)
-    rest = sum(terms)
+    terms = _terms(counts, t)
+    size = rest = sum(terms)
     e = rest.bit_length() - 1
     top = 1 << e
-    walk = _walk(word, counts, terms, cfg.marker_len)
-    rank, span = next(walk)
+    budget = t if _wide(terms, t) else len(word)
+    steps = _term_walk(word, counts, terms[:], t)
+    rank, span = next(steps)
     while rank + span - 1 > top:
-        rank, span = next(walk)
+        if not budget:
+            return _sub_block(size, _walk(word, counts, terms, t))[0]
+        budget -= 1
+        rank, span = next(steps)
         while rank > top:
             rest ^= 1 << e
             e = rest.bit_length() - 1

@@ -1,5 +1,6 @@
 import io
 import os
+import select
 import subprocess
 import sys
 from fractions import Fraction
@@ -420,6 +421,37 @@ class TestEncodeStreaming:
         assert valid[0] == EXIT_OK
         assert out.getvalue().endswith("\n") and valid[1].startswith(out.getvalue())
         assert out.getvalue()
+
+    def test_live_pipe_streams_before_end_of_input(self, tmp_path):
+        # The writer keeps stdin open, so the first line must come out while
+        # the encoder waits for more input, not at the end of input.
+        text = make_stream(5, 3000, 3) + " "
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3"]
+        command = [sys.executable, "-m", "finitary.cli", *argv]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        try:
+            proc.stdin.write(text.encode())
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no output within 10 s while stdin stays open"
+            first = proc.stdout.readline()
+            assert first.strip()
+        finally:
+            proc.stdin.close()
+            rest, err = proc.stdout.read(), proc.stderr.read()
+            proc.wait(timeout=300)
+        assert proc.returncode == EXIT_OK and err == b""
+        path = tmp_path / "stream.txt"
+        path.write_text(text)
+        with path.open() as stdin:
+            from_file = subprocess.run(
+                command, stdin=stdin, capture_output=True, env=env, timeout=300
+            )
+        assert from_file.returncode == EXIT_OK
+        assert first + rest == from_file.stdout
 
     def test_real_pipe(self):
         # More than one read of stdin, through an operating-system pipe.

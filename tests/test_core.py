@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from finitary.core import (
     ProbabilityVector,
+    SymbolError,
+    check_word,
     cumulative,
     entropy,
     parse_bits,
@@ -134,6 +137,33 @@ class TestWordsAndBits:
     def test_word_out_of_alphabet(self):
         with pytest.raises(ValueError, match="outside 1..2"):
             parse_word("1 3", 2)
+
+    @pytest.mark.parametrize(
+        "symbols,start,message,position",
+        [
+            ([0, 1, 2, 3], 0, "symbol 0 at position 0 outside 1..3", 0),
+            ((1, 2, 4, 3), 0, "symbol 4 at position 2 outside 1..3", 2),
+            ([1, 2, 3, -1], 5, "symbol -1 at position 8 outside 1..3", 8),
+            ([1, 5, 0], 0, "symbol 5 at position 1 outside 1..3", 1),
+            ([1, True, 2], 0, "symbol True at position 1 outside 1..3", 1),
+            ((2, 3, False), 0, "symbol False at position 2 outside 1..3", 2),
+            ([1, 2, 2.0], 0, "symbol 2.0 at position 2 is not an integer", 2),
+            ([1, np.int64(7)], 0, f"symbol {np.int64(7)!r} at position 1 outside 1..3", 1),
+        ],
+    )
+    def test_check_word_reports_the_first_bad_symbol(self, symbols, start, message, position):
+        with pytest.raises(SymbolError) as err:
+            check_word(symbols, 3, start)
+        assert str(err.value) == message
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "symbols", [[], (), [1, 3, 2], (3, 3, 1), [1, np.int64(3), 2], np.array([2, 1, 3])]
+    )
+    def test_check_word_returns_plain_ints(self, symbols):
+        word = check_word(symbols, 3)
+        assert type(word) is tuple and word == tuple(int(s) for s in symbols)
+        assert all(type(s) is int for s in word)
 
     def test_parse_bits_contiguous_and_spaced(self):
         assert parse_bits("0110") == (0, 1, 1, 0)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -297,7 +298,6 @@ class TestAgainstNaiveRanker:
             "_window_walk",
             "_ones_down",
             "_extend",
-            "_after_two",
             "_rank",
         ):
             monkeypatch.setattr(extractor, name, refuse)
@@ -318,18 +318,36 @@ def _splice(word, at, piece):
     return word[:at] + tuple(piece) + word[at + len(piece) :]
 
 
+def _term_rank(word, counts, terms, t):
+    """The rank at the end of the term loop, in ``_walk``'s signature."""
+    for rank, _ in _term_walk(word, counts, terms, t):
+        pass
+    return rank
+
+
 def _walks(t):
-    """Names of the rank walks that can rank words with marker length t;
-    t = 1 has one term per class, so only the term loop."""
-    return ("_term_walk",) if t == 1 else ("_term_walk", "_window_walk")
+    """The rank walks that can rank words with marker length t, in
+    ``_walk``'s signature; t = 1 has one term per class, so only the term
+    loop."""
+    return (_term_rank,) if t == 1 else (_term_rank, _window_walk)
+
+
+# Widths at which the window walk divides by its common denominator: the
+# default, after every symbol, and only at the end of the word.
+_FLUSHES = (extractor._FLUSH_BITS, 0, 10**9)
 
 
 def _rank_by_each_walk(w, cfg):
-    """``rank_in_class(w, cfg)`` with the dispatch sent to each walk in turn."""
+    """``rank_in_class(w, cfg)`` with the dispatch sent to the term loop and
+    then to the window walk at each of ``_FLUSHES``."""
+    runs = [(_term_rank, _FLUSHES[0])]
+    if cfg.marker_len > 1:
+        runs += [(_window_walk, flush) for flush in _FLUSHES]
     ranks = []
-    for name in _walks(cfg.marker_len):
+    for walk, flush in runs:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extractor, "_walk", getattr(extractor, name))
+            mp.setattr(extractor, "_walk", walk)
+            mp.setattr(extractor, "_FLUSH_BITS", flush)
             ranks.append(rank_in_class(w, cfg))
     return ranks
 
@@ -358,7 +376,7 @@ class TestWindowedWalk:
             assert _terms(suffix, 6)[0].bit_length() > extractor._WIDE_BITS
             expected = naive_rank_in_class(w, cfg)
             assert rank_in_class(w, cfg) == expected
-            assert _rank_by_each_walk(w, cfg) == [expected] * 2
+            assert set(_rank_by_each_walk(w, cfg)) == {expected}
 
     def test_run_of_ones_ends_the_word(self):
         # A last 2 whose run of ones reaches the end of the word is never
@@ -370,7 +388,7 @@ class TestWindowedWalk:
             w = base[: -len(tail)] + tail
             expected = naive_rank_in_class(w, cfg)
             assert rank_in_class(w, cfg) == expected
-            assert _rank_by_each_walk(w, cfg) == [expected] * 2
+            assert set(_rank_by_each_walk(w, cfg)) == {expected}
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 32])
     @pytest.mark.parametrize("a,t", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
@@ -399,7 +417,7 @@ class TestWindowedWalk:
                 w = _random_free_word(rng, a, t, n)
                 expected = naive_rank_in_class(w, cfg)
                 assert rank_in_class(w, cfg) == expected
-                assert _rank_by_each_walk(w, cfg) == [expected] * 2
+                assert set(_rank_by_each_walk(w, cfg)) == {expected}
 
     def test_dead_term_whose_divisor_reaches_zero(self, monkeypatch):
         # In 1^k 2^k (t=2) the term r=k dies at the first 1, and its divisor
@@ -410,7 +428,7 @@ class TestWindowedWalk:
         for k in range(1, 12):
             w = (1,) * k + (2,) * k
             assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg) == 1
-            assert _rank_by_each_walk(w, cfg) == [1, 1]
+            assert set(_rank_by_each_walk(w, cfg)) == {1}
 
     def test_roundtrip_long_word(self):
         # unrank_in_class walks the terms one symbol at a time, so it is an
@@ -435,17 +453,26 @@ def _with_runs_across_windows(rng, a, t, n):
 
 
 class TestEarlyStop:
-    """``_bit_count`` stops the rank walk once the rank's sub-block is certain."""
+    """``_bit_count`` stops the term loop once the rank's sub-block is
+    certain, and falls back on the full rank after t steps on a word that
+    the dispatch sends to the window walk."""
 
     @pytest.mark.parametrize("wide", [None, 1])
     @pytest.mark.parametrize("a", [2, 3, 4])
     def test_every_small_word(self, monkeypatch, a, wide):
         # The expected count comes from the lexicographic position alone.
-        # With wide=None every word goes through each walk alone; with
-        # wide=1 through the dispatch, which then sends every word with more
-        # than t terms to the window walk.
+        # With wide=1 the dispatch sends every word with more than t terms to
+        # the window walk, so ``_bit_count`` falls back on the full rank of
+        # the words it has not settled in t steps.  The full rank, and
+        # ``extract``'s, comes from each walk in turn.
         if wide is not None:
             monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
+        fallbacks = [0]
+
+        def counting(*args, walk):
+            fallbacks[0] += 1
+            return walk(*args)
+
         for t in range(1, 6):
             cfg = PatternConfig(a, t)
             cases = []
@@ -456,100 +483,133 @@ class TestEarlyStop:
                 for words in by_class.values():
                     for rank, w in enumerate(sorted(words), start=1):
                         cases.append((w, _sub_block(len(words), rank)[0]))
-            for name in ("_walk",) if wide is not None else _walks(t):
+            for walk in _walks(t):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(extractor, "_walk", getattr(extractor, name))
+                    mp.setattr(extractor, "_walk", functools.partial(counting, walk=walk))
                     for w, e in cases:
-                        assert _bit_count(w, cfg) == e == extract(w, cfg).num_bits
+                        assert _bit_count(w, cfg) == e
+                    mp.setattr(extractor, "_walk", walk)
+                    for w, e in cases:
+                        assert extract(w, cfg).num_bits == e
+        # Only words with more than t terms can fall back, and at a = 2 and
+        # a = 4 each of those settles within t steps.
+        assert (fallbacks[0] > 0) == (wide == 1 and a == 3)
 
     @pytest.mark.parametrize("a,t", [(3, 3), (3, 6), (4, 8)])
     def test_every_interval_holds_the_rank(self, a, t):
+        # The term loop's interval after every symbol, on words long enough
+        # for the dispatch to send them to the window walk.
         rng = random.Random(100 * a + t)
         cfg = PatternConfig(a, t)
         for n in (50, 900, *rng.sample(range(51, 900), 4)):
             w = _with_runs_across_windows(rng, a, t, n)
             final = naive_rank_in_class(w, cfg)
             counts = count_vector(w, a)
-            for walk in (_term_walk, _window_walk):
-                seen = list(walk(w, counts, _terms(counts, t), t))
-                assert len(seen) == n + 1
-                for rank, span in seen:
-                    assert rank <= final <= rank + span - 1
-                assert seen[-1] == (final, 1)
+            seen = list(_term_walk(w, counts, _terms(counts, t), t))
+            assert len(seen) == n + 1
+            for rank, span in seen:
+                assert rank <= final <= rank + span - 1
+            assert seen[-1] == (final, 1)
             if n == 900:
-                picked = extractor._walk(w, counts, _terms(counts, t), t)
-                assert picked.__name__ == "_window_walk"
+                assert extractor._wide(_terms(counts, t), t)
 
     @pytest.mark.parametrize("a,t", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
     def test_span_ends_at_the_last_word_with_the_prefix(self, a, t):
-        # Both walks give the tightest interval: its top is the rank of the
-        # class's last word with the prefix walked so far.  The window walk's
-        # rank is also the first such word's.
+        # The term loop gives the tightest interval: its top is the rank of
+        # the class's last word with the prefix walked so far.
         for n in range(7 if a < 4 else 6):
             by_class = {}
             for w in brute_pattern_free(a, t, n):
                 by_class.setdefault(count_vector(w, a), []).append(w)
             for m, words in by_class.items():
-                first, last = {}, {}
+                last = {}
                 for rank, w in enumerate(sorted(words), start=1):
                     for i in range(n + 1):
-                        first.setdefault(w[:i], rank)
                         last[w[:i]] = rank
                 for w in words:
-                    for name in _walks(t):
-                        walk = getattr(extractor, name)
-                        for i, (rank, span) in enumerate(walk(w, m, _terms(m, t), t)):
-                            assert rank + span - 1 == last[w[:i]]
-                            assert rank == first[w[:i]] or name == "_term_walk"
+                    for i, (rank, span) in enumerate(_term_walk(w, m, _terms(m, t), t)):
+                        assert rank + span - 1 == last[w[:i]]
 
     def test_stops_a_few_symbols_in(self, monkeypatch):
         # The sub-block of a typical word is certain after a few symbols; a
-        # walk that could only stop at the end would draw every symbol.
+        # walk that could only stop at the end would draw every symbol, and
+        # so does a fallback on the full rank.
         drawn = [0]
-        for name in ("_walk", "_term_walk", "_window_walk"):
-            walk = getattr(extractor, name)
+        term_walk, walk = _term_walk, extractor._walk
 
-            def counting(*args, walk=walk):
-                for step in walk(*args):
-                    drawn[0] += 1
-                    yield step
+        def counting(*args):
+            for step in term_walk(*args):
+                drawn[0] += 1
+                yield step
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(extractor, "_walk", counting)
-                for a, t in [(2, 3), (3, 6), (4, 8)]:
-                    rng = random.Random(5)
-                    cfg = PatternConfig(a, t)
-                    words = [
-                        _random_free_word(rng, a, t, rng.randrange(100, 300)) for _ in range(100)
-                    ]
-                    drawn[0] = 0
-                    for w in words:
-                        _bit_count(w, cfg)
-                    assert drawn[0] < sum(map(len, words)) // 4
+        def full(word, *args):
+            drawn[0] += len(word)
+            return walk(word, *args)
+
+        monkeypatch.setattr(extractor, "_term_walk", counting)
+        monkeypatch.setattr(extractor, "_walk", full)
+        for a, t in [(2, 3), (3, 6), (4, 8)]:
+            rng = random.Random(5)
+            cfg = PatternConfig(a, t)
+            words = [_random_free_word(rng, a, t, rng.randrange(100, 300)) for _ in range(100)]
+            drawn[0] = 0
+            for w in words:
+                _bit_count(w, cfg)
+            assert drawn[0] < sum(map(len, words)) // 4
+
+    @pytest.mark.parametrize(
+        "word,fallback", [((2, 1) * 3000 + (3,), True), ((2, 1, 3) * 2000, False)]
+    )
+    def test_at_most_t_steps_on_a_wide_word(self, monkeypatch, word, fallback):
+        # Each term-loop step on these words updates about a thousand wide
+        # terms.  Unbounded, the loop took many times the window walk's time
+        # on the first word.
+        cfg = PatternConfig(3, 3)
+        counts = count_vector(word, 3)
+        assert extractor._wide(_terms(counts, 3), 3)
+        expected = extract(word, cfg).num_bits
+        steps, full = [-1], [0]
+        term_walk, walk = _term_walk, extractor._walk
+
+        def counting(*args):
+            for step in term_walk(*args):
+                steps[0] += 1
+                yield step
+
+        def counting_full(*args):
+            full[0] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(extractor, "_term_walk", counting)
+        monkeypatch.setattr(extractor, "_walk", counting_full)
+        assert _bit_count(word, cfg) == expected
+        assert steps[0] <= 3
+        assert full[0] == fallback
 
     @pytest.mark.parametrize(
         "a,t,m", [(2, 3, (0, 0)), (2, 3, (2, 5)), (3, 2, (1, 1, 3)), (3, 4, (3, 3, 1))]
     )
     def test_power_of_two_class_takes_no_step(self, monkeypatch, a, t, m):
-        def no_window(*args):
-            raise AssertionError("the window walk built its window")
+        def refuse(*args):
+            raise AssertionError("the full rank was taken")
 
-        monkeypatch.setattr(extractor, "_ones_down", no_window)
+        term_walk = _term_walk
+
+        def first_only(*args):
+            steps = term_walk(*args)
+            yield next(steps)
+            raise AssertionError("the term loop took a step")
+
+        monkeypatch.setattr(extractor, "_ones_down", refuse)
+        monkeypatch.setattr(extractor, "_walk", refuse)
+        monkeypatch.setattr(extractor, "_term_walk", first_only)
         cfg = PatternConfig(a, t)
         words = [w for w in brute_pattern_free(a, t, sum(m)) if count_vector(w, a) == m]
         assert len(words) == class_size(m, cfg) == 1 << (len(words).bit_length() - 1)
-        for name in ("_walk", *_walks(t)):
-            walk = getattr(extractor, name)
-
-            def first_only(*args, walk=walk):
-                steps = walk(*args)
-                yield next(steps)
-                raise AssertionError("the walk took a step")
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(extractor, "_walk", first_only)
-                for w in words:
-                    assert _bit_count(w, cfg) == len(words).bit_length() - 1
+        for wide in (extractor._WIDE_BITS, 1):
+            monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
+            for w in words:
+                assert _bit_count(w, cfg) == len(words).bit_length() - 1
 
 
 def _companion_events(word, t):
@@ -618,9 +678,9 @@ class TestWindowWalk:
 
     @pytest.mark.parametrize("a,count", [(2, 613), (3, 10723), (4, 5093)])
     def test_every_small_word_against_naive(self, monkeypatch, a, count):
-        # t = 2..5, n <= 7 (n <= 5 at a = 4): 16,429 words in all.
-        monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
-        seen = 0
+        # t = 2..5, n <= 7 (n <= 5 at a = 4): 16,429 words in all, each
+        # ranked at every width in ``_FLUSHES``.
+        cases = []
         for t in range(2, 6):
             cfg = PatternConfig(a, t)
             for n in range(8 if a < 4 else 6):
@@ -629,17 +689,21 @@ class TestWindowWalk:
                     by_class.setdefault(count_vector(w, a), []).append(w)
                 for words in by_class.values():
                     for rank, w in enumerate(sorted(words), start=1):
-                        assert rank_in_class(w, cfg) == rank == naive_rank_in_class(w, cfg)
-                        seen += 1
-        assert seen == count
+                        assert naive_rank_in_class(w, cfg) == rank
+                        cases.append((w, cfg, rank))
+        assert len(cases) == count
+        monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
+        for flush in _FLUSHES:
+            monkeypatch.setattr(extractor, "_FLUSH_BITS", flush)
+            for w, cfg, rank in cases:
+                assert rank_in_class(w, cfg) == rank
 
     def test_random_words_against_the_term_loop(self):
         rng = random.Random(11)
         for _ in range(300):
             a, t = rng.choice((2, 3, 4)), rng.choice((2, 3, 4, 6, 8))
             w = _random_free_word(rng, a, t, rng.randrange(601))
-            ranks = _rank_by_each_walk(w, PatternConfig(a, t))
-            assert ranks[0] == ranks[1]
+            assert len(set(_rank_by_each_walk(w, PatternConfig(a, t)))) == 1
 
     @pytest.mark.parametrize("t", [2, 3, 4, 6])
     def test_families_on_the_singular_index(self, t):
@@ -647,10 +711,10 @@ class TestWindowWalk:
         events = set()
         for L in (1, 2, 3, 6, 40, 200):
             for w in _families(t, L):
-                ranks = _rank_by_each_walk(w, cfg)
-                assert ranks[0] == ranks[1]
+                ranks = set(_rank_by_each_walk(w, cfg))
+                assert len(ranks) == 1
                 if L <= 6:
-                    assert ranks[0] == naive_rank_in_class(w, cfg)
+                    assert ranks == {naive_rank_in_class(w, cfg)}
                 events |= _companion_events(w, t)
         # At t = 2 the singular index c - k - 1 is always negative.
         assert any(e.startswith("singular") for e in events) == (t > 2)
@@ -673,12 +737,11 @@ class TestWindowWalk:
     def test_companion_seeded_at_start_and_mid_walk(self, monkeypatch, t, word, events):
         assert _companion_events(word, t) == events
         cfg = PatternConfig(3, t)
-        ranks = _rank_by_each_walk(word, cfg)
-        assert ranks[0] == ranks[1]
+        assert len(set(_rank_by_each_walk(word, cfg))) == 1
         for cut in range(8, 12):
             short = word[:cut] + word[-cut:]
             if not contains_marker(short, t):
-                assert _rank_by_each_walk(short, cfg) == [naive_rank_in_class(short, cfg)] * 2
+                assert set(_rank_by_each_walk(short, cfg)) == {naive_rank_in_class(short, cfg)}
         calls = _count_terms_calls(monkeypatch)
         monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
         rank_in_class(word, cfg)
@@ -690,14 +753,25 @@ class TestWindowWalk:
         # word's terms and at most one for the companion's seed.
         cfg = PatternConfig(3, 3)
         counts = count_vector(word, 3)
-        assert extractor._walk(word, counts, _terms(counts, 3), 3).__name__ == "_window_walk"
+        assert extractor._wide(_terms(counts, 3), 3)
         calls = _count_terms_calls(monkeypatch)
         assert rank_in_class(word, cfg) >= 1
         assert calls[0] <= 2
 
-    def test_dispatch(self):
+    def test_dispatch(self, monkeypatch):
         # t = 1, narrow terms and wide terms no more than t stay on the
         # term loop.
+        walked = []
+
+        def recording(walk):
+            def run(*args):
+                walked.append(walk.__name__)
+                return walk(*args)
+
+            return run
+
+        for walk in (_term_walk, _window_walk):
+            monkeypatch.setattr(extractor, walk.__name__, recording(walk))
         for a, t, w, name in [
             (3, 1, (1, 3) * 400, "_term_walk"),
             (3, 3, (2, 1, 3) * 10, "_term_walk"),
@@ -707,10 +781,11 @@ class TestWindowWalk:
             counts = count_vector(w, a)
             terms = _terms(counts, t)
             wide = len(terms) > t and terms[0].bit_length() > extractor._WIDE_BITS
-            assert wide == (name == "_window_walk")
-            assert extractor._walk(w, counts, terms, t).__name__ == name
+            assert wide == (name == "_window_walk") == extractor._wide(terms, t)
+            walked.clear()
+            rank_in_class(w, PatternConfig(a, t))
+            assert walked == [name]
             assert terms[0].bit_length() > extractor._WIDE_BITS or w == (2, 1, 3) * 10
-
 
 
 def test_extract_keeps_no_table_between_calls():
