@@ -30,6 +30,9 @@ LOG2 = math.log(2)
 # _SELECTION_SAFETY bits, and gives up past _MAX_MARKER_LEN.
 _SELECTION_SAFETY = 1.0
 _MAX_MARKER_LEN = 512
+# sample_blocks refuses a first draw of more symbols than this; a long
+# marker's mean block would otherwise ask for more memory than there is.
+_MAX_DRAW = 1 << 26
 
 
 def expected_block_length(p: ProbabilityVector, t: int) -> Fraction:
@@ -68,11 +71,18 @@ def sample_blocks(
     Draws a p-stream and takes the stretches between consecutive marker
     occurrences; returns (block lengths, interior words).  Deterministic
     given the seed.  Gives up after 64 times the expected number of symbols
-    (plus slack) without ``count`` blocks.
+    (plus slack) without ``count`` blocks.  Raises ValueError before
+    drawing when the first draw would hold more than ``_MAX_DRAW`` symbols.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    e_lam = float(expected_block_length(p, t))
+    lam = expected_block_length(p, t)
+    if lam * (count + 8) * 5 / 4 + 1024 > _MAX_DRAW:
+        raise ValueError(
+            f"sampling {count} trials at t = {t} would draw more than "
+            f"{_MAX_DRAW} symbols at once; use a smaller t or fewer trials"
+        )
+    e_lam = float(lam)
     cap = int(64 * (count + 16) * e_lam) + 4096
     cfg = PatternConfig(p.size, t)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -19,17 +19,19 @@ with 0 to t-1 ones fewer, which are M f(n, c, e) for the count M of orders
 of its symbols other than 1 and f(n, c, e) = [z^n] (1-z^(t-1))^c (1-z)^-e
 (a generating function in the style of Flajolet & Sedgewick, 2009).  f
 satisfies an order-t recurrence with coefficients linear in n, so each
-symbol moves the window by a few exact small-integer steps.  The backward
-step of that recurrence fails at one index; there the walk reads a
-companion window that never steps backward.  The window's values share one
-denominator, so most steps multiply instead of dividing, and one division
-by the denominator, once it is wider than 256 bits, stands for many by
-small integers (Bareiss's fraction-free elimination, 1968).  A word whose
-term vector has more than t terms and a first term wider than 512 bits
-takes the window walk; the rest, the short blocks and t = 1 among them,
-take the term loop, where a few narrow terms cost less than t window
-values.  Nothing is cached between calls, so memory is bounded by the
-longest word in flight.
+symbol moves the window by a few exact small-integer steps.  Forward steps
+from f(0) = 1 seed the window, so the walk never builds the terms and
+counts the class independently of them.  The backward step fails at one
+index; there the walk reads a companion window that never steps backward.
+The window's values share one denominator, so most steps multiply instead
+of dividing, and one division by the denominator, once it is wider than
+256 bits, stands for many by small integers (Bareiss's fraction-free
+elimination, 1968).  A word whose counts give more than t terms and a
+first term wider than 512 bits takes the window walk; the rest, the short
+blocks and t = 1 among them, take the term loop, where a few narrow terms
+cost less than t window values.  Nothing is cached between calls, and the
+window walk keeps O(t) values, so memory is bounded by the longest word in
+flight.
 
 The term loop yields ``(rank, span)`` at every step, with the final rank in
 ``[rank, rank + span - 1]``.  So a caller that needs only the bit count
@@ -97,6 +99,16 @@ def _check_counts(m: tuple[int, ...]) -> None:
         raise ValueError(f"bad count vector {m!r}")
 
 
+def _multinomial(m: tuple[int, ...]) -> int:
+    """The number of orders of a multiset with counts ``m``."""
+    total = 1
+    n = 0
+    for c in m:
+        n += c
+        total *= math.comb(n, c)
+    return total
+
+
 def _terms(m: tuple[int, ...], t: int) -> list[int]:
     """Signed inclusion-exclusion terms ``(-1)^r T_r(m)`` for r = 0..R.
 
@@ -113,11 +125,8 @@ def _terms(m: tuple[int, ...], t: int) -> list[int]:
     step = t - 1
     ones, twos = m[0], m[1]
     rmax = min(twos, ones // step) if step else twos
-    term = 1
-    n = 0
-    for c in m:
-        n += c
-        term *= math.comb(n, c)
+    n = sum(m)
+    term = _multinomial(m)
     terms = [term]
     for r in range(rmax):
         x, y = ones - r * step, n - r * step
@@ -126,13 +135,8 @@ def _terms(m: tuple[int, ...], t: int) -> list[int]:
     return terms
 
 
-def _free_count(m: tuple[int, ...], t: int) -> int:
-    """Pattern-free word count: the alternating sum of ``_terms``."""
-    return sum(_terms(m, t))
-
-
-# Term vectors of more than t terms whose first term has more bits than this
-# are ranked by the window walk; the rest by the term loop.
+# Words with more than t terms whose first term has more bits than this are
+# ranked by the window walk; the rest by the term loop (see ``_wide``).
 _WIDE_BITS = 512
 
 # The window walk divides its values by their common denominator once that
@@ -210,49 +214,43 @@ def _term_walk(
         yield rank, span
 
 
-def _ones_down(counts: tuple[int, ...], terms: list[int], s: int) -> list[int]:
-    """Class sizes with s, s-1, ..., 0 ones fewer than ``counts``.
-
-    ``terms`` are the ``_terms`` of ``counts``.  One 1 fewer takes term r
-    to ``T_r * x_r / y_r``; a term whose ``x_r`` reaches zero dies, and a
-    count below zero ones is 0.
-    """
-    x, y = counts[0], sum(counts)
-    sizes = [sum(terms)]
-    for _ in range(s):
-        terms = [u * (x - r * s) // (y - r * s) for r, u in enumerate(terms) if x > r * s]
-        sizes.append(sum(terms))
-        x -= 1
-        y -= 1
-    return sizes[::-1]
-
-
-def _extend(g: list[int], top: int, s: int, c: int, k: int, count: int) -> None:
-    """Append G(top+1), ..., G(top+count) to ``g``, which ends at G(top).
-
-    The forward step of the recurrence divides by n+1 > 0, so it never
-    fails.  ``c`` and ``k`` are the suffix's counts of 2s and of symbols
-    other than 1.
-    """
+def _extend(g: list[int], top: int, s: int, c: int, k: int) -> None:
+    """Append G(top+1) to ``g``, which ends at G(top), for a suffix with c
+    twos and k symbols other than 1.  This forward step of the recurrence
+    divides by top+1 > 0, so it never fails."""
     cs = c * s
-    for n in range(top, top + count):
-        g.append(
-            ((n + k + 1) * g[-1] + (n - s + 1 - cs) * g[-s] + (cs - k - 1 - n + s) * g[-s - 1])
-            // (n + 1)
-        )
+    g.append(
+        ((top + k + 1) * g[-1] + (top - s + 1 - cs) * g[-s] + (cs - k - 1 - top + s) * g[-s - 1])
+        // (top + 1)
+    )
 
 
-def _window_walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int) -> int:
-    """The rank of a validated word, by the window walk.
+def _window(top: int, s: int, c: int, k: int, big_m: int) -> list[int]:
+    """The window G(top-s), ..., G(top) of a suffix with c twos, k symbols
+    other than 1 and G(0) = ``big_m``: ``top`` forward steps from G(-s),
+    ..., G(-1) = 0, with s+1 values kept."""
+    g = [0] * s + [big_m]
+    for n in range(top):
+        _extend(g, n, s, c, k)
+        del g[0]
+    return g
+
+
+def _window_walk(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
+    """``(rank, class size)`` of a validated word, by the window walk.
 
     With s = t-1, a suffix with m_1 ones, c twos and k symbols other than 1
     has G(m_1) pattern-free orders, where G(n) = M f(n, c, k+1), M counts the
     orders of its symbols other than 1, and f(n, c, e) = [z^n] (1-z^s)^c
     (1-z)^-e counts the ways to put n ones into its gaps, at most s-1 of
     them after each 2.  The walk keeps the window ``g`` = G(m_1-s), ...,
-    G(m_1), built from ``terms`` by ``_ones_down``.  f satisfies
+    G(m_1).  f satisfies
 
-        (n+1) f(n+1) = (n+e) f(n) + (n-s+1-cs) f(n-s+1) + (cs-e-n+s) f(n-s).
+        (n+1) f(n+1) = (n+e) f(n) + (n-s+1-cs) f(n-s+1) + (cs-e-n+s) f(n-s),
+
+    so ``_window`` seeds ``g`` by m_1 forward steps from f(0) = 1 and f(n) =
+    0 below 0.  Its top, G(m_1), is the class size, counted without the
+    inclusion-exclusion terms.
 
     A symbol above 1 adds G(m_1-1) to the rank, less G(m_1-s+j) when the
     last symbol other than 1 was a 2 followed by j ones; a symbol above 2
@@ -285,14 +283,14 @@ def _window_walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t:
     N by s-1 with the 2's own step, and a symbol above 2 raises it by 1
     with one forward step, which divides by n+1.  The companion is
     kept while max(N, 0) < m_1 - s, the only time the main window can step
-    down onto N.  It is seeded from ``_terms`` at the start; later only a 2
-    can bring it back, by moving N below the main window, and then it is a
+    down onto N.  ``_window`` seeds it at the start; later only a 2 can
+    bring it back, by moving N below the main window, and then it is a
     slice of the main window's 2-step, extended below the window by the
     first formula.  While N < 0 only G(0) = M matters, and it is kept
-    instead; a symbol above 2 takes N to 0, and ``h`` is rebuilt from M by
-    s forward steps.  So each symbol costs O(t) exact operations, and a
-    word calls ``_terms`` at most once here.  Raises ValueError when the
-    word contains the pattern.
+    instead; a symbol above 2 takes N to 0, and ``_window`` rebuilds ``h``
+    from M by s forward steps.  So each symbol costs O(t) exact operations
+    and the walk keeps O(t) values.  Raises ValueError when the word
+    contains the pattern.
     """
     s = t - 1
     m = list(counts)
@@ -300,16 +298,18 @@ def _window_walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t:
     k = len(word) - ones
     rank, pending, d = 1, 0, 1  # the rank is rank + pending / d
     flush = _FLUSH_BITS
-    g = _ones_down(counts, terms, s)
+    big_m = _multinomial(counts[1:])
+    g = _window(ones, s, c, k, big_m)
+    size = g[s]
     star = c * s - k - 1
-    h = big_m = None
-    if 0 <= star < ones - s:
-        seed = (star + s, *counts[1:])
-        h = _ones_down(seed, _terms(seed, t), s)
-    elif star < 0 < ones - s:
-        big_m = _terms((0, *counts[1:]), t)[0]
+    h = None
     j = -1  # ones after the last 2 while its run is open, else -1
     for sym in word:
+        # Drop the companion once unneeded; seed it from M once N >= 0.
+        if star >= ones - s or ones <= s:
+            h = big_m = None
+        elif star >= 0 and big_m is not None:
+            h, big_m = _window(star + s, s, c, k, big_m), None
         if sym > 1:
             pending += g[s - 1] - (g[j] if j >= 0 else 0)
         if sym == 2:
@@ -369,18 +369,12 @@ def _window_walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t:
                 if big_m is not None:
                     big_m *= mult
                 elif h is not None:
-                    _extend(h, star + s, s, c, k, 1)
+                    _extend(h, star + s, s, c, k)
                     h = [(b - a) * mult for a, b in zip(h, h[1:])]
                 d *= k
                 star += 1
                 k -= 1
-                if big_m is not None and star == 0 and ones > s:
-                    h = [0] * s + [big_m]
-                    _extend(h, 0, s, c, k, s)
-                    h, big_m = h[s:], None
         m[sym - 1] -= 1
-        if star >= ones - s or ones <= s:
-            h = big_m = None
         if d.bit_length() > flush:
             g = [u // d for u in g]
             if h is not None:
@@ -389,33 +383,35 @@ def _window_walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t:
                 big_m //= d
             rank += pending // d
             pending, d = 0, 1
-    return rank + pending // d
+    return rank + pending // d, size
 
 
-def _wide(terms: list[int], t: int) -> bool:
-    """Whether the window walk ranks a word with these ``_terms``: more
-    than t terms, the first wider than ``_WIDE_BITS``.  On short words the
-    term loop is the faster walk, and at t = 1 every class has one term."""
-    return len(terms) > t and terms[0].bit_length() > _WIDE_BITS
-
-
-def _walk(word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int) -> int:
-    """The rank of a validated word: by the window walk when ``_wide``, else
-    by the term loop run to its end, which consumes ``terms``."""
-    if _wide(terms, t):
-        return _window_walk(word, counts, terms, t)
-    for rank, _ in _term_walk(word, counts, terms, t):
-        pass
-    return rank
+def _wide(counts: tuple[int, ...], t: int) -> bool:
+    """Whether the window walk ranks a word with these counts: t > 1, more
+    than t terms (at least t twos and t(t-1) ones) and a first term, the
+    multinomial, wider than ``_WIDE_BITS``.  That is below a^n, so it is
+    computed only when n bit_length(a-1) > ``_WIDE_BITS``."""
+    return (
+        t > 1
+        and counts[1] >= t
+        and counts[0] >= t * (t - 1)
+        and sum(counts) * (len(counts) - 1).bit_length() > _WIDE_BITS
+        and _multinomial(counts).bit_length() > _WIDE_BITS
+    )
 
 
 def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
-    """Rank, class size and count vector of a validated word: the walk run
-    to its end."""
+    """Rank, class size and count vector of a validated word: by the window
+    walk when ``_wide``, else by the term loop run to its end."""
+    t = cfg.marker_len
     counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
-    terms = _terms(counts, cfg.marker_len)
+    if _wide(counts, t):
+        return (*_window_walk(word, counts, t), counts)
+    terms = _terms(counts, t)
     size = sum(terms)
-    return _walk(word, counts, terms, cfg.marker_len), size, counts
+    for rank, _ in _term_walk(word, counts, terms, t):
+        pass
+    return rank, size, counts
 
 
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
@@ -564,10 +560,11 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     The term loop stops at the first step whose rank interval lies inside
     one power-of-two sub-block.  It keeps the sub-block that holds the
     interval's low end, which only grows: 2^e ranks up to ``top``.  A class
-    size that is a power of two settles at the start.  On a word that
-    ``_walk`` sends to the window walk, each term-loop step costs a pass
-    over many wide terms, so after t unsettled steps the count comes from
-    the full rank instead.  The word must be validated and pattern-free: a
+    size that is a power of two settles at the start.  On a word that is
+    ``_wide``, each term-loop step costs a pass over many wide terms, so
+    after t unsettled steps the count comes from the window walk's full
+    rank instead.  Most words settle within t steps, so ``_wide`` is asked
+    only after them.  The word must be validated and pattern-free: a
     pattern after the stop goes unnoticed.
     """
     t = cfg.marker_len
@@ -576,12 +573,14 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     size = rest = sum(terms)
     e = rest.bit_length() - 1
     top = 1 << e
-    budget = t if _wide(terms, t) else len(word)
-    steps = _term_walk(word, counts, terms[:], t)
+    budget = t
+    steps = _term_walk(word, counts, terms, t)
     rank, span = next(steps)
     while rank + span - 1 > top:
         if not budget:
-            return _sub_block(size, _walk(word, counts, terms, t))[0]
+            if _wide(counts, t):
+                return _sub_block(size, _window_walk(word, counts, t)[0])[0]
+            budget = len(word)
         budget -= 1
         rank, span = next(steps)
         while rank > top:
@@ -599,7 +598,7 @@ def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:
     m = class_from_index(n, cfg.alphabet_size, triple.class_id)
     e = triple.num_bits
     # The sub-blocks above 2^e take the set bits of the class size above e.
-    top = _free_count(m, cfg.marker_len) >> e
+    top = sum(_terms(m, cfg.marker_len)) >> e
     if not top & 1:
         raise ValueError(f"bit count {e} not realizable for class {triple.class_id}")
     offset = int("".join("01"[b] for b in triple.bits), 2) if e else 0

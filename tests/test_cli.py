@@ -242,6 +242,16 @@ class TestCertifyCommand:
         )
         assert code == EXIT_OK and "seed\t11" in out
 
+    def test_long_marker_is_refused_before_sampling(self):
+        # At t = 40 the first draw would hold about 2^41 symbols.
+        code, out, err = run_cli(
+            ["certify-t", "--p", "1/2,1/2", "--q", "1/2,1/2", "--t", "40",
+             "--trials", "2", "--seed", "1"]
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "t = 40" in err and "2 trials" in err
+
 
 class TestAnalyzeAndTails:
     def test_analyze_balanced(self):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -14,7 +13,6 @@ from finitary.extractor import (
     ExtractionTriple,
     PatternConfig,
     _bit_count,
-    _free_count,
     _sub_block,
     _term_walk,
     _terms,
@@ -99,7 +97,7 @@ class TestClassSize:
                 by_class.setdefault(count_vector(w, a), []).append(w)
             for m, words in by_class.items():
                 assert class_size(m, cfg) == len(words)
-                assert _free_count(m, t) == len(words)
+                assert sum(_terms(m, t)) == len(words)
             # Classes with no representative word must count zero.
             for m in map(
                 tuple,
@@ -107,13 +105,33 @@ class TestClassSize:
             ):
                 if sum(m) == n and m not in by_class:
                     assert class_size(m, cfg) == 0
-                    assert _free_count(m, t) == 0
+                    assert sum(_terms(m, t)) == 0
 
     def test_fast_route_matches_automaton_route_larger(self):
         for t in (2, 3, 4):
             cfg = PatternConfig(3, t)
             for m in [(5, 4, 3), (9, 2, 1), (0, 6, 0), (7, 7, 0), (4, 0, 4)]:
-                assert _free_count(m, t) == class_size(m, cfg)
+                assert sum(_terms(m, t)) == class_size(m, cfg)
+
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_window_seed_counts_every_class(self, a):
+        # ``_window`` seeds the window walk from the recurrence alone.  Its
+        # values are the class sizes with s, ..., 0 ones fewer, so they check
+        # the inclusion-exclusion terms and the automaton count both.
+        for t in range(2, 6):
+            cfg = PatternConfig(a, t)
+            s = t - 1
+            for n in range(11):
+                for m in itertools.product(range(n + 1), repeat=a):
+                    if sum(m) != n:
+                        continue
+                    big_m = extractor._multinomial(m[1:])
+                    window = extractor._window(m[0], s, m[1], n - m[0], big_m)
+                    assert window[s] == sum(_terms(m, t)) == class_size(m, cfg)
+                    for j in range(1, s + 1):
+                        fewer = (m[0] - j, *m[1:])
+                        assert window[s - j] == (sum(_terms(fewer, t)) if m[0] >= j else 0)
 
 
 class TestRankUnrank:
@@ -293,10 +311,10 @@ class TestAgainstNaiveRanker:
             raise AssertionError("the rank walk was called")
 
         for name in (
-            "_walk",
+            "_wide",
             "_term_walk",
             "_window_walk",
-            "_ones_down",
+            "_window",
             "_extend",
             "_rank",
         ):
@@ -318,18 +336,20 @@ def _splice(word, at, piece):
     return word[:at] + tuple(piece) + word[at + len(piece) :]
 
 
-def _term_rank(word, counts, terms, t):
-    """The rank at the end of the term loop, in ``_walk``'s signature."""
-    for rank, _ in _term_walk(word, counts, terms, t):
-        pass
-    return rank
+def _never_wide(counts, t):
+    """A ``_wide`` that sends every word to the term loop."""
+    return False
+
+
+def _always_wide(counts, t):
+    """A ``_wide`` that sends every word to the window walk."""
+    return True
 
 
 def _walks(t):
-    """The rank walks that can rank words with marker length t, in
-    ``_walk``'s signature; t = 1 has one term per class, so only the term
-    loop."""
-    return (_term_rank,) if t == 1 else (_term_rank, _window_walk)
+    """Stand-ins for ``_wide`` that force each walk able to rank words with
+    marker length t; t = 1 has one term per class, so only the term loop."""
+    return (_never_wide,) if t == 1 else (_never_wide, _always_wide)
 
 
 # Widths at which the window walk divides by its common denominator: the
@@ -340,13 +360,13 @@ _FLUSHES = (extractor._FLUSH_BITS, 0, 10**9)
 def _rank_by_each_walk(w, cfg):
     """``rank_in_class(w, cfg)`` with the dispatch sent to the term loop and
     then to the window walk at each of ``_FLUSHES``."""
-    runs = [(_term_rank, _FLUSHES[0])]
+    runs = [(_never_wide, _FLUSHES[0])]
     if cfg.marker_len > 1:
-        runs += [(_window_walk, flush) for flush in _FLUSHES]
+        runs += [(_always_wide, flush) for flush in _FLUSHES]
     ranks = []
-    for walk, flush in runs:
+    for wide, flush in runs:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extractor, "_walk", walk)
+            mp.setattr(extractor, "_wide", wide)
             mp.setattr(extractor, "_FLUSH_BITS", flush)
             ranks.append(rank_in_class(w, cfg))
     return ranks
@@ -462,16 +482,16 @@ class TestEarlyStop:
     def test_every_small_word(self, monkeypatch, a, wide):
         # The expected count comes from the lexicographic position alone.
         # With wide=1 the dispatch sends every word with more than t terms to
-        # the window walk, so ``_bit_count`` falls back on the full rank of
-        # the words it has not settled in t steps.  The full rank, and
-        # ``extract``'s, comes from each walk in turn.
+        # the window walk, so ``_bit_count`` falls back on the window walk's
+        # rank for the words it has not settled in t steps.  ``extract``'s
+        # count comes from each walk in turn.
         if wide is not None:
             monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
         fallbacks = [0]
 
-        def counting(*args, walk):
+        def counting(*args):
             fallbacks[0] += 1
-            return walk(*args)
+            return _window_walk(*args)
 
         for t in range(1, 6):
             cfg = PatternConfig(a, t)
@@ -483,12 +503,13 @@ class TestEarlyStop:
                 for words in by_class.values():
                     for rank, w in enumerate(sorted(words), start=1):
                         cases.append((w, _sub_block(len(words), rank)[0]))
-            for walk in _walks(t):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(extractor, "_window_walk", counting)
+                for w, e in cases:
+                    assert _bit_count(w, cfg) == e
+            for force in _walks(t):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(extractor, "_walk", functools.partial(counting, walk=walk))
-                    for w, e in cases:
-                        assert _bit_count(w, cfg) == e
-                    mp.setattr(extractor, "_walk", walk)
+                    mp.setattr(extractor, "_wide", force)
                     for w, e in cases:
                         assert extract(w, cfg).num_bits == e
         # Only words with more than t terms can fall back, and at a = 2 and
@@ -511,7 +532,7 @@ class TestEarlyStop:
                 assert rank <= final <= rank + span - 1
             assert seen[-1] == (final, 1)
             if n == 900:
-                assert extractor._wide(_terms(counts, t), t)
+                assert extractor._wide(counts, t)
 
     @pytest.mark.parametrize("a,t", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
     def test_span_ends_at_the_last_word_with_the_prefix(self, a, t):
@@ -535,19 +556,18 @@ class TestEarlyStop:
         # walk that could only stop at the end would draw every symbol, and
         # so does a fallback on the full rank.
         drawn = [0]
-        term_walk, walk = _term_walk, extractor._walk
 
         def counting(*args):
-            for step in term_walk(*args):
+            for step in _term_walk(*args):
                 drawn[0] += 1
                 yield step
 
         def full(word, *args):
             drawn[0] += len(word)
-            return walk(word, *args)
+            return _window_walk(word, *args)
 
         monkeypatch.setattr(extractor, "_term_walk", counting)
-        monkeypatch.setattr(extractor, "_walk", full)
+        monkeypatch.setattr(extractor, "_window_walk", full)
         for a, t in [(2, 3), (3, 6), (4, 8)]:
             rng = random.Random(5)
             cfg = PatternConfig(a, t)
@@ -566,22 +586,21 @@ class TestEarlyStop:
         # on the first word.
         cfg = PatternConfig(3, 3)
         counts = count_vector(word, 3)
-        assert extractor._wide(_terms(counts, 3), 3)
+        assert extractor._wide(counts, 3)
         expected = extract(word, cfg).num_bits
         steps, full = [-1], [0]
-        term_walk, walk = _term_walk, extractor._walk
 
         def counting(*args):
-            for step in term_walk(*args):
+            for step in _term_walk(*args):
                 steps[0] += 1
                 yield step
 
         def counting_full(*args):
             full[0] += 1
-            return walk(*args)
+            return _window_walk(*args)
 
         monkeypatch.setattr(extractor, "_term_walk", counting)
-        monkeypatch.setattr(extractor, "_walk", counting_full)
+        monkeypatch.setattr(extractor, "_window_walk", counting_full)
         assert _bit_count(word, cfg) == expected
         assert steps[0] <= 3
         assert full[0] == fallback
@@ -593,15 +612,12 @@ class TestEarlyStop:
         def refuse(*args):
             raise AssertionError("the full rank was taken")
 
-        term_walk = _term_walk
-
         def first_only(*args):
-            steps = term_walk(*args)
+            steps = _term_walk(*args)
             yield next(steps)
             raise AssertionError("the term loop took a step")
 
-        monkeypatch.setattr(extractor, "_ones_down", refuse)
-        monkeypatch.setattr(extractor, "_walk", refuse)
+        monkeypatch.setattr(extractor, "_window_walk", refuse)
         monkeypatch.setattr(extractor, "_term_walk", first_only)
         cfg = PatternConfig(a, t)
         words = [w for w in brute_pattern_free(a, t, sum(m)) if count_vector(w, a) == m]
@@ -673,13 +689,15 @@ def _families(t, L):
 
 
 class TestWindowWalk:
-    """The window walk, forced on every term vector, against the naive
-    ranker and the term loop, on and across its singular index."""
+    """The window walk, forced on every word, against the naive ranker and
+    the term loop, on and across its singular index."""
 
     @pytest.mark.parametrize("a,count", [(2, 613), (3, 10723), (4, 5093)])
     def test_every_small_word_against_naive(self, monkeypatch, a, count):
         # t = 2..5, n <= 7 (n <= 5 at a = 4): 16,429 words in all, each
-        # ranked at every width in ``_FLUSHES``.
+        # ranked and its class counted at every width in ``_FLUSHES``, with
+        # the terms and the term loop refused, so the window walk is checked
+        # on its own.
         cases = []
         for t in range(2, 6):
             cfg = PatternConfig(a, t)
@@ -690,13 +708,21 @@ class TestWindowWalk:
                 for words in by_class.values():
                     for rank, w in enumerate(sorted(words), start=1):
                         assert naive_rank_in_class(w, cfg) == rank
-                        cases.append((w, cfg, rank))
+                        cases.append((w, cfg, rank, len(words)))
         assert len(cases) == count
-        monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
+
+        def refuse(*args):
+            raise AssertionError("the window walk used the terms")
+
+        monkeypatch.setattr(extractor, "_wide", _always_wide)
+        monkeypatch.setattr(extractor, "_terms", refuse)
+        monkeypatch.setattr(extractor, "_term_walk", refuse)
         for flush in _FLUSHES:
             monkeypatch.setattr(extractor, "_FLUSH_BITS", flush)
-            for w, cfg, rank in cases:
+            for w, cfg, rank, size in cases:
                 assert rank_in_class(w, cfg) == rank
+                counts = count_vector(w, cfg.alphabet_size)
+                assert _window_walk(w, counts, cfg.marker_len) == (rank, size)
 
     def test_random_words_against_the_term_loop(self):
         rng = random.Random(11)
@@ -704,6 +730,8 @@ class TestWindowWalk:
             a, t = rng.choice((2, 3, 4)), rng.choice((2, 3, 4, 6, 8))
             w = _random_free_word(rng, a, t, rng.randrange(601))
             assert len(set(_rank_by_each_walk(w, PatternConfig(a, t)))) == 1
+            counts = count_vector(w, a)
+            assert _window_walk(w, counts, t)[1] == sum(_terms(counts, t))
 
     @pytest.mark.parametrize("t", [2, 3, 4, 6])
     def test_families_on_the_singular_index(self, t):
@@ -742,21 +770,32 @@ class TestWindowWalk:
             short = word[:cut] + word[-cut:]
             if not contains_marker(short, t):
                 assert set(_rank_by_each_walk(short, cfg)) == {naive_rank_in_class(short, cfg)}
+        # One ``_window`` call seeds the main window and one more a companion
+        # kept at the start; each rebuild adds one.
         calls = _count_terms_calls(monkeypatch)
-        monkeypatch.setattr(extractor, "_walk", extractor._window_walk)
+        windows = [0]
+        window = extractor._window
+
+        def counting(*args):
+            windows[0] += 1
+            return window(*args)
+
+        monkeypatch.setattr(extractor, "_window", counting)
+        monkeypatch.setattr(extractor, "_wide", _always_wide)
         rank_in_class(word, cfg)
-        assert calls[0] == (2 if events & {"seed", "g0"} else 1)
+        assert calls[0] == 0
+        seeds = 1 + ("seed" in events)
+        assert windows[0] > seeds if "rebuilt" in events else windows[0] == seeds
 
     @pytest.mark.parametrize("word", [(2, 1) * 2000 + (3,), (2, 1, 3) * 2000])
-    def test_terms_called_at_most_twice(self, monkeypatch, word):
-        # No R-term recount hides in the singular step: one call for the
-        # word's terms and at most one for the companion's seed.
+    def test_window_walk_never_calls_terms(self, monkeypatch, word):
+        # No R-term recount hides in the seeds or in the singular step.
         cfg = PatternConfig(3, 3)
         counts = count_vector(word, 3)
-        assert extractor._wide(_terms(counts, 3), 3)
+        assert extractor._wide(counts, 3)
         calls = _count_terms_calls(monkeypatch)
         assert rank_in_class(word, cfg) >= 1
-        assert calls[0] <= 2
+        assert calls[0] == 0
 
     def test_dispatch(self, monkeypatch):
         # t = 1, narrow terms and wide terms no more than t stay on the
@@ -781,11 +820,55 @@ class TestWindowWalk:
             counts = count_vector(w, a)
             terms = _terms(counts, t)
             wide = len(terms) > t and terms[0].bit_length() > extractor._WIDE_BITS
-            assert wide == (name == "_window_walk") == extractor._wide(terms, t)
+            assert wide == (name == "_window_walk") == extractor._wide(counts, t)
             walked.clear()
             rank_in_class(w, PatternConfig(a, t))
             assert walked == [name]
             assert terms[0].bit_length() > extractor._WIDE_BITS or w == (2, 1, 3) * 10
+
+    @pytest.mark.parametrize("width", [1, 7, 64, extractor._WIDE_BITS])
+    def test_wide_keeps_the_term_rule(self, monkeypatch, width):
+        # ``_wide`` decides from the counts alone what the rule on the term
+        # vector decides: more than t terms, the first wider than
+        # ``_WIDE_BITS``.
+        monkeypatch.setattr(extractor, "_WIDE_BITS", width)
+        rng = random.Random(width)
+        seen = set()
+        for _ in range(400):
+            a, t = rng.choice((2, 3, 4)), rng.choice((1, 2, 3, 4, 6, 8))
+            w = _random_free_word(rng, a, t, rng.randrange(1200))
+            counts = count_vector(w, a)
+            terms = _terms(counts, t)
+            rule = len(terms) > t and terms[0].bit_length() > extractor._WIDE_BITS
+            assert extractor._wide(counts, t) == rule
+            seen.add(rule)
+        assert seen == {False, True}
+
+    def test_marker_in_a_wide_word_at_t1(self):
+        # At t = 1 the pattern is a lone 2, so a long word with a 2 has
+        # several wide terms, though a pattern-free class has one.  The
+        # dispatch still sends it to the term loop, which refuses the 2.
+        cfg = PatternConfig(3, 1)
+        for w in [(1, 3) * 400 + (2,), (2,) + (1, 3) * 400, (1, 3) * 400 + (2, 2)]:
+            assert not extractor._wide(count_vector(w, 3), 1)
+            with pytest.raises(ValueError, match="marker pattern"):
+                extract(w, cfg)
+
+
+def test_window_walk_memory_is_bounded():
+    # The hostile block (2 1 3)^4000 has 2,001 inclusion-exclusion terms of
+    # up to 19,000 bits; a walk seeded from them peaks near 14 MB.  The
+    # window walk keeps t values of that width and never builds the terms.
+    word = (2, 1, 3) * 4000
+    cfg = PatternConfig(3, 3)
+    assert extractor._wide(count_vector(word, 3), 3)
+    tracemalloc.start()
+    try:
+        extractor._extract_bits(word, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_extract_keeps_no_table_between_calls():
