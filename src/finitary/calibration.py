@@ -44,20 +44,14 @@ def expected_block_length(p: ProbabilityVector, t: int) -> Fraction:
     return 1 / (p.prob(2) * p.prob(1) ** (t - 1))
 
 
-def _exact_sampler(p: ProbabilityVector):
-    """Return (den, thresholds) for exact integer-threshold sampling of p."""
-    den = math.lcm(*(v.denominator for v in p.entries))
+def sample_symbols(p: ProbabilityVector, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact i.i.d. sample of ``count`` symbols 1..len(p): a uniform integer
+    below the common denominator, placed among the scaled cumulative sums."""
+    cum, den = p.scaled_cumulative
     if den >= 2**63:
         raise ValueError("denominators too large for integer sampling")
-    nums = [int(v * den) for v in p.entries]
-    return den, np.cumsum(nums)
-
-
-def sample_symbols(p: ProbabilityVector, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact i.i.d. sample of ``count`` symbols 1..len(p)."""
-    den, thresholds = _exact_sampler(p)
     draws = rng.integers(0, den, size=count)
-    return (np.searchsorted(thresholds, draws, side="right") + 1).astype(np.int64)
+    return (np.searchsorted(cum[1:], draws, side="right") + 1).astype(np.int64)
 
 
 def sample_blocks(

@@ -270,9 +270,8 @@ def _cmd_simulate(args, stdin, stdout) -> int:
     q = ProbabilityVector.parse(args.q)
     if args.horizon < 1:
         raise ValueError("horizon must be >= 1")
-    bits = parse_bits(stdin.read())
     cursor = dyadic.DyadicCursor(q, args.horizon)
-    cursor.read(int("".join(map(str, bits)) or "0", 2), len(bits))
+    cursor.read(parse_bits(stdin.read()))
     if not cursor.successful:
         raise dyadic.InsufficientBitsError("insufficient bits")
     _report(

@@ -150,20 +150,6 @@ def check_word(symbols: Sequence[int], alphabet_size: int, start: int = 0) -> Sy
     return tuple(out)
 
 
-def check_bits(bits: Sequence[int]) -> BitString:
-    """Validate a 0/1 string; returns plain Python ints."""
-    out = []
-    for pos, b in enumerate(bits):
-        try:
-            value = operator.index(b)
-        except TypeError:
-            raise ValueError(f"bit {b!r} at position {pos} is not 0 or 1") from None
-        if isinstance(b, bool) or value not in (0, 1):
-            raise ValueError(f"bit {b!r} at position {pos} is not 0 or 1")
-        out.append(value)
-    return tuple(out)
-
-
 def parse_word(text: str, alphabet_size: int) -> SymbolWord:
     """Parse whitespace-separated 1-based symbols."""
     try:
@@ -173,14 +159,10 @@ def parse_word(text: str, alphabet_size: int) -> SymbolWord:
     return check_word(symbols, alphabet_size)
 
 
-def parse_bits(text: str) -> BitString:
-    """Parse bits given either contiguously (``"0110"``) or separated."""
-    toks = text.split()
-    if len(toks) > 1 or (toks and len(toks[0]) > 1):
-        chars = "".join(toks)
-    else:
-        chars = text.strip()
-    try:
-        return check_bits([int(c) for c in chars])
-    except ValueError:
-        raise ValueError(f"malformed bit string: {text!r}") from None
+def parse_bits(text: str) -> str:
+    """Parse bits given either contiguously (``"0110"``) or separated, as
+    one string of "0" and "1"."""
+    bits = "".join(text.split())
+    if not set(bits) <= {"0", "1"}:
+        raise ValueError(f"malformed bit string: {text!r}")
+    return bits

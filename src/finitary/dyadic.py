@@ -10,10 +10,11 @@ Hoshi (1997), the DDG-tree view of Knuth and Yao (1976).
 The cursor does the refinement in exact integers: the cumulative sums become
 integer numerators over their common denominator, and the undecided interval
 is kept as numerators over one integer scale relative to the current cell.
-Bits arrive as integers, a run at a time, and ``DyadicCursor.read`` is the
-one loop that refines the interval bit by bit.  Ties (an endpoint landing
-exactly on a cell boundary) never decide, which keeps success monotone
-under extension of the bit string.
+Bits arrive as characters "0" and "1", a run at a time from an iterator
+that several cursors may share, and ``DyadicCursor.read`` is the one loop
+that refines the interval bit by bit.  Ties (an endpoint landing exactly on
+a cell boundary) never decide, which keeps success monotone under extension
+of the bit string.
 
 Also provides exact analyzers of the stopping-time law: per-depth survival
 probabilities, a rigorous enclosure of the expected stopping time, and the
@@ -26,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 from .core import ProbabilityVector, cumulative
 
@@ -37,9 +39,9 @@ class InsufficientBitsError(ValueError):
 class DyadicCursor:
     """Incremental simulator of ``horizon`` i.i.d. ``target`` symbols.
 
-    ``read`` takes bits as an n-bit integer, most significant bit first,
-    and stops at success or when the bits run out; symbols are emitted as
-    soon as they are determined (several may cascade from a single bit).
+    ``read`` takes bits as characters "0" and "1", in order, and stops at
+    success or when the bits run out; symbols are emitted as soon as they
+    are determined (several may cascade from a single bit).
     Once ``horizon`` symbols have been emitted the cursor is successful and
     frozen.
 
@@ -86,50 +88,56 @@ class DyadicCursor:
     def successful(self) -> bool:
         return len(self.emitted) == self.horizon
 
-    def read(self, value: int, n: int) -> int:
-        """Consume the n-bit integer ``value``, most significant bit first,
-        until the cursor succeeds or the bits run out; return the number of
-        bits consumed.  Symbols are appended to ``emitted`` as soon as they
-        are determined, several of them by one bit if the interval allows.
+    def read(self, bits: Iterable[str]) -> int:
+        """Read "0"/"1" characters from ``bits`` until the cursor succeeds
+        or they run out; return the number read.  Symbols are appended to
+        ``emitted`` as soon as they are determined, several of them by one
+        bit if the interval allows.
 
-        The bits are spelled out once, in O(n), and the state stays in
-        locals until the call returns.
+        No character past the one that brings success is taken, so the next
+        reader of the same iterator starts right after it.  Any other
+        character raises ValueError, with the bits before it read.
         """
-        if n < 0 or value < 0 or value.bit_length() > n:
-            raise ValueError(f"value must lie in [0, 2**n), got {value!r} with n={n}")
         emitted, horizon = self.emitted, self.horizon
         if len(emitted) == horizon:
             raise ValueError("cursor is already successful; reading rejected")
-        if not n:
-            return 0
         left, width, scale = self._left, self._width, self._scale
         cum, den = self._cum, self._den
-        for used, bit in enumerate(format(value, f"0{n}b"), 1):
-            left = 2 * left + width if bit == "1" else 2 * left
-            scale *= 2
-            while True:
-                # Candidate j: the cell holding the left end, C_{j-1} <= L*Q/D < C_j.
-                floor, rem = divmod(left * den, scale)
-                j = bisect_right(cum, floor)
-                if rem == 0 and cum[j - 1] == floor:
-                    break  # the left end is on a cell boundary
-                if (left + width) * den >= cum[j] * scale:
-                    break
-                emitted.append(j)
-                left = left * den - cum[j - 1] * scale
-                width *= den
-                scale *= cum[j] - cum[j - 1]
-                g = gcd(left, width, scale)
-                if g > 1:
-                    left //= g
-                    width //= g
-                    scale //= g
+        used = 0
+        try:
+            for bit in bits:
+                if bit == "1":
+                    left = 2 * left + width
+                elif bit == "0":
+                    left = 2 * left
+                else:
+                    raise ValueError(f"bit {bit!r} is not '0' or '1'")
+                scale *= 2
+                used += 1
+                while True:
+                    # Candidate j: the cell holding the left end, C_{j-1} <= L*Q/D < C_j.
+                    floor, rem = divmod(left * den, scale)
+                    j = bisect_right(cum, floor)
+                    if rem == 0 and cum[j - 1] == floor:
+                        break  # the left end is on a cell boundary
+                    if (left + width) * den >= cum[j] * scale:
+                        break
+                    emitted.append(j)
+                    left = left * den - cum[j - 1] * scale
+                    width *= den
+                    scale *= cum[j] - cum[j - 1]
+                    g = gcd(left, width, scale)
+                    if g > 1:
+                        left //= g
+                        width //= g
+                        scale //= g
+                    if len(emitted) == horizon:
+                        break
                 if len(emitted) == horizon:
                     break
-            if len(emitted) == horizon:
-                break
-        self._left, self._width, self._scale = left, width, scale
-        self.bits_consumed += used
+        finally:
+            self._left, self._width, self._scale = left, width, scale
+            self.bits_consumed += used
         return used
 
 

@@ -13,12 +13,14 @@ Lockstep simulators keep their offsets, so the rule is a stack, and the
 schedule runs as one left-to-right sweep over the bit positions: the latest
 started simulator that is still running reads each position.  One loop
 scans the markers, extracts each block once its closing marker has arrived
-and hands the block's bits to the sweep as one integer, ``(e, offset)``.
-The simulator on top reads them a run at a time, up to its success or the
-end of the bits, in one cursor call per run.  ``encode_stream`` runs the
-loop over a whole stream read in chunks; ``map_range`` runs it over the
-window its indices can see, from the first block that holds one of them
-until the simulators of those blocks have finished.
+and hands the block's bits to the sweep as one string of "0" and "1".  The
+simulators on the stack share one iterator over it: the one on top reads a
+run, up to its success or the end of the bits, in one cursor call, and the
+next one goes on from there, so a block costs O(e) however many simulators
+finish inside it.  ``encode_stream`` runs the loop over a whole stream
+read in chunks; ``map_range`` runs it over the window its indices can see,
+from the first block that holds one of them until the simulators of those
+blocks have finished.
 
 Every output index of a block shares the block's left marker, right extent
 and simulated word, so the loop yields one record per block, each once no
@@ -77,21 +79,6 @@ def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
     return [m.start() for m in re.finditer(pattern, data)]
 
 
-# A block's bits reach the cursors in pieces of at most this many, so that
-# handing the rest of a piece to the next simulator costs O(_PIECE) and a
-# block costs O(e) however many simulators finish inside it.
-_PIECE = 256
-
-
-def _pieces(e: int, offset: int) -> Iterable[tuple[int, int]]:
-    """The e-bit integer ``offset`` as ``(value, n)`` pieces of n <= _PIECE
-    bits, most significant first, cut in O(e)."""
-    if e <= _PIECE:
-        return ((offset, e),)
-    digits = format(offset, f"0{e}b")
-    return ((int(digits[i : i + _PIECE], 2), min(_PIECE, e - i)) for i in range(0, e, _PIECE))
-
-
 class _Sweep:
     """The schedule's stack sweep, fed one block at a time.
 
@@ -102,7 +89,8 @@ class _Sweep:
     offsets: position p is reached first by the running simulator with the
     largest start <= p (the larger index on a tie), which is the top.  So
     the top reads a whole run of positions in one cursor call, up to its
-    success or the end of the block's bits.
+    success or the end of the block's bits, from an iterator over the
+    block's bits that the simulators below it go on reading.
 
     Every run is checked against the last position read and the reading
     simulator's own last read, which is O(1) state per simulator: no
@@ -123,43 +111,38 @@ class _Sweep:
             return self.stack[0][0]
         return self.waiting[0][0] if self.waiting else None
 
-    def feed(
-        self, k: int, length: int, e: int, offset: int
-    ) -> Iterator[tuple[int, DyadicCursor]]:
-        """Add block k, the next block, whose e bits are the binary digits
-        of ``offset``, and sweep them.
+    def feed(self, k: int, length: int, bits: str) -> Iterator[tuple[int, DyadicCursor]]:
+        """Add block k, the next block, whose extracted bits are the string
+        ``bits``, and sweep them.
 
         Yields ``(simulator, cursor)`` each time a simulator succeeds.
         """
         self.waiting.append((k, length))
-        if not e:
+        if not bits:
             return
         stack, p = self.stack, self.pos
         for j, n in self.waiting:
             stack.append([j, DyadicCursor(self.q, n), -1])
         self.waiting.clear()
-        self.pos = p + e
+        end = self.pos = p + len(bits)
         last = self.last
         k, cursor, prev = stack[-1]
-        for value, n in _pieces(e, offset):
-            while n:
-                if p <= last:
-                    raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
-                if p <= prev:
-                    raise InvariantViolation(f"simulator {k} read out of order")
-                used = cursor.read(value, n)
-                p += used
-                n -= used
-                last = prev = p - 1
-                if not cursor.successful:
-                    break
-                stack.pop()
-                self.last = last
-                yield k, cursor
-                if not stack:
-                    return
-                k, cursor, prev = stack[-1]
-                value &= (1 << n) - 1
+        rest = iter(bits)
+        while p < end:
+            if p <= last:
+                raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
+            if p <= prev:
+                raise InvariantViolation(f"simulator {k} read out of order")
+            p += cursor.read(rest)
+            last = prev = p - 1
+            if not cursor.successful:
+                break
+            stack.pop()
+            self.last = last
+            yield k, cursor
+            if not stack:
+                return
+            k, cursor, prev = stack[-1]
         stack[-1][2] = prev
         self.last = last
 
@@ -316,7 +299,7 @@ def _records(
                 if marker >= first:
                     word = tuple(buf[left + t - base : marker - base])
                     markers[nxt] = (left, marker)
-                    for k, cursor in sweep.feed(nxt, marker - left, *_extract_bits(word, cfg)):
+                    for k, cursor in sweep.feed(nxt, marker - left, _extract_bits(word, cfg)):
                         try:
                             record = output(k, tuple(cursor.emitted), marker + t)
                         except WindowExhausted:

@@ -547,47 +547,40 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     return ExtractionTriple(e, bits, class_index(counts))
 
 
-def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
-    """``(e, offset)`` of a validated word: its e extracted bits are the
-    binary digits of ``offset``, most significant first."""
+def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> str:
+    """The extracted bits of a validated word, as a string of "0" and "1":
+    the e binary digits of its offset, most significant first."""
     rank, size, _ = _rank(word, cfg)
-    return _sub_block(size, rank)
+    e, offset = _sub_block(size, rank)
+    return format(offset, f"0{e}b") if e else ""
 
 
 def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     """``extract(word, cfg).num_bits``, ranking only as far as it takes.
 
     The term loop stops at the first step whose rank interval lies inside
-    one power-of-two sub-block.  It keeps the sub-block that holds the
-    interval's low end, which only grows: 2^e ranks up to ``top``.  A class
-    size that is a power of two settles at the start.  On a word that is
-    ``_wide``, each term-loop step costs a pass over many wide terms, so
-    after t unsettled steps the count comes from the window walk's full
-    rank instead.  Most words settle within t steps, so ``_wide`` is asked
-    only after them.  The word must be validated and pattern-free: a
+    one power-of-two sub-block: the one ``_sub_block`` finds for the low
+    end, when the interval ends no more than its offset above it.  On a
+    word that is ``_wide``, each term-loop step costs a pass over many wide
+    terms, so after t unsettled steps the count comes from the window walk's
+    full rank instead.  Most words settle within t steps, so ``_wide`` is
+    asked only after them.  The word must be validated and pattern-free: a
     pattern after the stop goes unnoticed.
     """
     t = cfg.marker_len
     counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
     terms = _terms(counts, t)
-    size = rest = sum(terms)
-    e = rest.bit_length() - 1
-    top = 1 << e
+    size = sum(terms)
     budget = t
-    steps = _term_walk(word, counts, terms, t)
-    rank, span = next(steps)
-    while rank + span - 1 > top:
+    for rank, span in _term_walk(word, counts, terms, t):
+        e, offset = _sub_block(size, rank)
+        if span <= offset + 1:
+            return e
         if not budget:
             if _wide(counts, t):
                 return _sub_block(size, _window_walk(word, counts, t)[0])[0]
             budget = len(word)
         budget -= 1
-        rank, span = next(steps)
-        while rank > top:
-            rest ^= 1 << e
-            e = rest.bit_length() - 1
-            top += 1 << e
-    return e
 
 
 def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:

@@ -117,22 +117,19 @@ class TestWordsAndBits:
     def test_numpy_integers_accepted(self):
         import numpy as np
 
-        from finitary.core import check_bits, check_word
+        from finitary.core import check_word
 
         word = check_word(np.array([1, 3, 2], dtype=np.int64), 3)
         assert word == (1, 3, 2)
         assert all(type(s) is int for s in word)
-        assert check_bits(np.array([0, 1, 1], dtype=np.int8)) == (0, 1, 1)
 
     def test_booleans_and_floats_rejected(self):
-        from finitary.core import check_bits, check_word
+        from finitary.core import check_word
 
         with pytest.raises(ValueError):
             check_word([True, 2], 2)
         with pytest.raises(ValueError):
             check_word([1.0, 2], 2)
-        with pytest.raises(ValueError):
-            check_bits([0.0, 1])
 
     def test_word_out_of_alphabet(self):
         with pytest.raises(ValueError, match="outside 1..2"):
@@ -166,10 +163,15 @@ class TestWordsAndBits:
         assert all(type(s) is int for s in word)
 
     def test_parse_bits_contiguous_and_spaced(self):
-        assert parse_bits("0110") == (0, 1, 1, 0)
-        assert parse_bits("0 1 1 0") == (0, 1, 1, 0)
-        assert parse_bits("1") == (1,)
+        assert parse_bits("0110") == "0110"
+        assert parse_bits("0 1 1 0") == "0110"
+        assert parse_bits("1") == "1"
 
     def test_parse_bits_rejects_other_symbols(self):
         with pytest.raises(ValueError):
             parse_bits("012")
+
+    @pytest.mark.parametrize("text", ["\u0661\u0660", "0 2"], ids=["arabic-indic", "two"])
+    def test_parse_bits_refuses_other_digits(self, text):
+        with pytest.raises(ValueError, match="malformed bit string"):
+            parse_bits(text)

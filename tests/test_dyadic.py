@@ -34,7 +34,7 @@ def simulate_one(q, bits):
     """``(T, S)`` of one symbol read from ``bits`` in one call, as the
     ``simulate`` command reads them, or None when the bits run out."""
     c = DyadicCursor(q, 1)
-    c.read(int("".join(map(str, bits)) or "0", 2), len(bits))
+    c.read("".join(map(str, bits)))
     return (c.bits_consumed, c.emitted[0]) if c.successful else None
 
 
@@ -45,7 +45,7 @@ def run_bits(q, horizon, bits):
         if cursor.successful:
             break
         before = len(cursor.emitted)
-        assert cursor.read(b, 1) == 1
+        assert cursor.read(str(b)) == 1
         emitted.extend(cursor.emitted[before:])
     return cursor, emitted
 
@@ -82,11 +82,15 @@ class TestCursor:
     def test_reading_successful_cursor_rejected(self):
         c, _ = run_bits(FAIR, 1, (0, 0, 1))
         with pytest.raises(ValueError):
-            c.read(0, 1)
+            c.read("0")
 
     def test_bad_bit_rejected(self):
-        with pytest.raises(ValueError):
-            DyadicCursor(FAIR, 1).read(2, 1)
+        # A first character other than "0" or "1" leaves the cursor as it was.
+        for bits in ["2", "-1", " 01", "\n", [0, 1]]:
+            c = DyadicCursor(FAIR, 1)
+            with pytest.raises(ValueError):
+                c.read(bits)
+            assert (c.bits_consumed, c.emitted) == (0, [])
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -104,34 +108,66 @@ class TestCursor:
         while not ref.successful:
             bit = rng.getrandbits(1)
             before = len(c.emitted)
-            assert c.read(bit, 1) == 1
+            assert c.read(str(bit)) == 1
             assert c.emitted[before:] == ref.feed(bit)
             assert c.emitted == ref.emitted
             assert (c.bits_consumed, c.successful) == (ref.bits_consumed, ref.successful)
             assert absolute(c) == (ref.lo, ref.hi, ref.cell_lo, ref.cell_hi)
         with pytest.raises(ValueError):
-            c.read(0, 1)
+            c.read("0")
 
 
 class TestRead:
-    @pytest.mark.parametrize("value,n", [(2, 1), (8, 3), (-1, 1), (0, -1), (1, 0)])
-    def test_value_outside_n_bits_rejected(self, value, n):
-        c = DyadicCursor(FAIR, 1)
-        with pytest.raises(ValueError):
-            c.read(value, n)
-        assert (c.bits_consumed, c.emitted) == (0, [])
+    @pytest.mark.parametrize("q", [FAIR, Q13, Q3], ids=["fair", "q13", "q3"])
+    def test_bad_character_mid_run_keeps_the_bits_before_it(self, q):
+        # The bits before the bad character stay read, in the state that
+        # reading them alone leaves, and the iterator stops right after it.
+        rng = random.Random(f"bad/{q.entries}")
+        for _ in range(100):
+            prefix = "".join(rng.choice("01") for _ in range(rng.randint(0, 12)))
+            c, alone = DyadicCursor(q, 50), DyadicCursor(q, 50)
+            rest = iter(prefix + "x" + "01")
+            with pytest.raises(ValueError):
+                c.read(rest)
+            alone.read(prefix)
+            assert c.bits_consumed == alone.bits_consumed == len(prefix)
+            assert c.emitted == alone.emitted
+            assert absolute(c) == absolute(alone)
+            assert "".join(rest) == "01"
 
     def test_successful_cursor_rejects_any_read(self):
         c = DyadicCursor(FAIR, 2)
-        assert c.read(0b00101, 5) == 4 and c.emitted == [1, 1]
-        for value, n in [(0, 0), (1, 1), (0b11, 2)]:
+        assert c.read("00101") == 4 and c.emitted == [1, 1]
+        for bits in ["", "1", "11"]:
             with pytest.raises(ValueError):
-                c.read(value, n)
+                c.read(bits)
         assert c.bits_consumed == 4
 
     def test_empty_read_consumes_nothing(self):
         c = DyadicCursor(Q13, 3)
-        assert c.read(0, 0) == 0 and (c.bits_consumed, c.emitted) == (0, [])
+        assert c.read("") == 0 and (c.bits_consumed, c.emitted) == (0, [])
+
+    @pytest.mark.parametrize("q", [FAIR, Q13, Q3], ids=["fair", "q13", "q3"])
+    def test_cursors_share_one_iterator(self, q):
+        # A cursor that succeeds takes no character past its last one: the
+        # next cursor on the same iterator reads what a fresh cursor reads
+        # from the rest, and what neither read is still in the iterator.
+        rng = random.Random(f"shared/{q.entries}")
+        for _ in range(300):
+            bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 60)))
+            first = DyadicCursor(q, rng.randint(1, 6))
+            second = DyadicCursor(q, rng.randint(1, 6))
+            rest = iter(bits)
+            used = first.read(rest)
+            assert used == len(bits) or first.successful
+            if first.successful:
+                fresh = DyadicCursor(q, second.horizon)
+                fresh.read(bits[used:])
+                second.read(rest)
+                assert second.emitted == fresh.emitted
+                assert second.bits_consumed == fresh.bits_consumed
+                used += second.bits_consumed
+            assert "".join(rest) == bits[used:]
 
     @pytest.mark.parametrize("q", [FAIR, Q13, Q3], ids=["fair", "q13", "q3"])
     def test_runs_match_reference_cursor(self, q):
@@ -150,7 +186,7 @@ class TestRead:
             c, pos = DyadicCursor(q, horizon), 0
             while pos < len(bits) and not c.successful:
                 run = bits[pos : pos + rng.choice([0, 1, rng.randint(2, 40)])]
-                used = c.read(int("".join(map(str, run)) or "0", 2), len(run))
+                used = c.read("".join(map(str, run)))
                 assert used == len(run) or c.successful
                 pos += used
             assert c.emitted == ref.emitted
@@ -210,7 +246,7 @@ def test_interval_nesting(bits, size, seed_shift):
     for b in bits:
         if c.successful:
             break
-        assert c.read(b, 1) == 1
+        assert c.read(str(b)) == 1
         lo, hi, _, _ = absolute(c)
         assert prev_lo <= lo and hi <= prev_hi
         assert hi - lo == F(1, 1 << c.bits_consumed)

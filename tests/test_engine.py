@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -19,9 +20,9 @@ from finitary.engine import (
     map_range,
     scan_markers,
 )
-from finitary.extractor import PatternConfig
+from finitary.extractor import PatternConfig, extract
 
-from oracles import naive_blocks, naive_map, naive_schedule
+from oracles import FractionCursor, naive_blocks, naive_map, naive_schedule
 
 FAIR = ProbabilityVector.parse("1/2,1/2")
 Q13 = ProbabilityVector.parse("1/3,2/3")
@@ -75,7 +76,7 @@ class TestScanMarkers:
 class TestSweep:
     def test_single_block_self_sufficient(self):
         sweep = _Sweep(FAIR)
-        [(k, cursor)] = sweep.feed(0, 2, 4, 0b0010)
+        [(k, cursor)] = sweep.feed(0, 2, "0010")
         assert (k, cursor.emitted, cursor.bits_consumed) == (0, [1, 1], 4)
         assert (sweep.pos, sweep.last, sweep.lowest()) == (4, 3, None)
 
@@ -84,20 +85,48 @@ class TestSweep:
         # block 2's first bit, and the rightmost reads both of its bits.
         sweep = _Sweep(FAIR)
         for k, e in enumerate([0, 0, 2]):
-            assert list(sweep.feed(k, 2, e, 0b00)) == []
+            assert list(sweep.feed(k, 2, "0" * e)) == []
         assert [(k, prev) for k, _, prev in sweep.stack] == [(0, -1), (1, -1), (2, 1)]
         assert [c.bits_consumed for _, c, _ in sweep.stack] == [0, 0, 2]
         assert sweep.lowest() == 0
 
-    @pytest.mark.parametrize("piece", [1, 2, 7])
-    def test_pieces_move_only_run_boundaries(self, monkeypatch, piece):
-        # Blocks of up to 226 bits, cut into pieces of a few bits: a run
-        # then ends at every piece boundary, and the records stay the same.
-        stream = random_stream(12, 5_000, 3)
-        cfg = PatternConfig(3, 3)
-        whole = map_range(stream, cfg, FAIR, 0, len(stream) - 1).blocks
-        monkeypatch.setattr("finitary.engine._PIECE", piece)
-        assert map_range(stream, cfg, FAIR, 0, len(stream) - 1).blocks == whole
+    @staticmethod
+    def empty_blocks_then_word(empty, size, seed):
+        """``empty`` empty blocks between back-to-back markers of t = 3, then
+        a pattern-free word over {1..8} of ``size`` symbols, a marker and a
+        few symbols more."""
+        rng = random.Random(seed)
+        word = [rng.randint(1, 8) for _ in range(size)]
+        for i in range(2, size):
+            if word[i - 2 : i + 1] == [2, 1, 1]:
+                word[i] = 3
+        return [2, 1, 1] * (empty + 1) + word + [2, 1, 1] + word[:50], word
+
+    def test_many_simulators_finish_inside_one_block(self):
+        # 2,000 empty blocks wait for the long block after them, so all the
+        # simulators start at its first bit.  The rightmost reads first, so
+        # they read its bits one after another, from the long block's own
+        # simulator down, each from the bit after the last one's success.
+        stream, word = self.empty_blocks_then_word(2_000, 4_000, 8)
+        cfg = PatternConfig(8, 3)
+        bits, pos, expected = extract(word, cfg).bits, 0, {}
+        for k in range(2_000, -1, -1):
+            ref = FractionCursor(FAIR, 3 + len(word) if k == 2_000 else 3)
+            while not ref.successful and pos < len(bits):
+                ref.feed(bits[pos])
+                pos += 1
+            if not ref.successful:
+                break
+            expected.update(enumerate(ref.emitted, 3 * k + 1))
+        assert len(expected) > 4_000 + 3 * 1_000
+        assert map_range(stream, cfg, FAIR, 0, len(stream) - 1).outputs == expected
+
+    def test_simulators_finishing_inside_one_block_match_naive(self):
+        # The same shape at a size the literal transcription can run.
+        stream, _ = self.empty_blocks_then_word(60, 250, 9)
+        outputs = map_range(stream, PatternConfig(8, 3), FAIR, 0, len(stream) - 1).outputs
+        assert len(outputs) > 250 + 3 * 30
+        assert outputs == naive_map(stream, 8, 3, FAIR)
 
 
 SCHEDULE_STREAMS = [
@@ -135,9 +164,9 @@ class TestBitAccounting:
         expected = Counter(j for reads in consumed.values() for j, _ in reads)
         read, count = DyadicCursor.read, 0
 
-        def counted(cursor, value, n):
+        def counted(cursor, bits):
             nonlocal count
-            used = read(cursor, value, n)
+            used = read(cursor, bits)
             count += used
             return used
 
@@ -145,7 +174,7 @@ class TestBitAccounting:
         sweep = _Sweep(q)
         for b in blocks:
             count, e = 0, b.bit_count
-            list(sweep.feed(b.index, b.length, e, int("".join(map(str, b.bits)) or "0", 2)))
+            list(sweep.feed(b.index, b.length, "".join(map(str, b.bits))))
             if e:
                 # Every block with bits is read from its first position on.
                 unread = sweep.pos - 1 - sweep.last
@@ -608,13 +637,13 @@ class TestEncodeStream:
         # position; rewinding it further, past what the simulator below
         # the new one has read, makes that simulator read out of order.
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 40, 3, 0b011)) == []
+        assert list(sweep.feed(0, 40, "011")) == []
         sweep.pos = 0
         with pytest.raises(InvariantViolation, match="consumed twice"):
-            list(sweep.feed(1, 40, 1, 0b0))
+            list(sweep.feed(1, 40, "0"))
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 40, 5, 0b00000)) == []
+        assert list(sweep.feed(0, 40, "00000")) == []
         sweep.pos, sweep.last = 0, -1
         with pytest.raises(InvariantViolation, match="simulator 0 read out of order"):
             # Simulator 1 draws its one symbol from 0, 1, 0 and pops.
-            list(sweep.feed(1, 1, 4, 0b0100))
+            list(sweep.feed(1, 1, "0100"))
