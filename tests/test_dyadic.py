@@ -118,6 +118,19 @@ class TestCursor:
 
 
 class TestRead:
+    @pytest.mark.parametrize("value,n", [(2, 1), (8, 3), (-1, 1), (0, -1), (1, 0)])
+    def test_value_outside_n_bits_rejected(self, value, n):
+        # An integer value with a bit count is no bit string: read refuses
+        # it, as a pair of arguments or as items, even 0 and 1, and leaves
+        # the cursor as it was.
+        c = DyadicCursor(FAIR, 1)
+        with pytest.raises(TypeError):
+            c.read(value, n)
+        for items in [(value,), (value, n), (n, value)]:
+            with pytest.raises(ValueError):
+                c.read(items)
+        assert (c.bits_consumed, c.emitted) == (0, [])
+
     @pytest.mark.parametrize("q", [FAIR, Q13, Q3], ids=["fair", "q13", "q3"])
     def test_bad_character_mid_run_keeps_the_bits_before_it(self, q):
         # The bits before the bad character stay read, in the state that
