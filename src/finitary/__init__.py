@@ -9,7 +9,6 @@ selection and certification with the statistics the CLI reports
 """
 
 from .core import (
-    BitString,
     ProbabilityVector,
     SymbolWord,
     cumulative,
@@ -47,7 +46,6 @@ from .engine import (
 from .calibration import (
     CertificationReport,
     ChiSquareReport,
-    Simu1Report,
     TailFit,
     certify_marker_length,
     chi_square,

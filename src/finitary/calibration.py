@@ -4,9 +4,12 @@ CLI's ``verify-bounds``, ``analyze`` and ``tails``.
 Monte-Carlo routines are deterministic functions of their inputs and a seed;
 the generator is numpy's PCG64 (128-bit state), and every report carries the
 seed it was produced with.  Exact routines use rational arithmetic end to
-end.  verify_simu1 deliberately shares no code path with the tree-pruning
-analyzer in :mod:`finitary.dyadic`: it locates each cumulative point among
-the level-k dyadic intervals directly.
+end.  verify_simu1 computes the stopping-time survival by a route that
+shares no code with the tree-pruning analyzer in :mod:`finitary.dyadic`: it
+locates each cumulative point among the level-k dyadic intervals directly.
+Both return a ``dyadic.TailReport``, which derives the bounds and the mean
+enclosure from the survival, so the acceptance criteria compare the two
+survivals and recompute the bounds by hand.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ProbabilityVector, cumulative, entropy
-from .dyadic import _has_dyadic_interior
+from .dyadic import TailReport
 from .engine import scan_markers
 # Sampled words are in-range ints that lie between markers, so they are
 # pattern-free and skip the word check.
@@ -104,9 +107,9 @@ class CertificationReport:
 
     ``mean_bits`` estimates the expected bits extracted per block; the
     analytic ``sim_bound`` bounds the expected bits a block's simulation
-    consumes.  pass = the estimate clears the bound by more than 3 standard
-    errors; fail = it falls short by more than 3; anything else is
-    inconclusive.
+    consumes.  ``margin`` is the first less the second, and ``status`` is
+    pass when it exceeds 3 standard errors, fail when it falls below minus
+    3, and inconclusive otherwise.
     """
 
     marker_len: int
@@ -116,10 +119,19 @@ class CertificationReport:
     stderr_bits: float
     sim_bound: float
     expected_block_len: Fraction
-    margin: float
-    status: str
     mean_block_len: float
-    stderr_block_len: float
+
+    @property
+    def margin(self) -> float:
+        return self.mean_bits - self.sim_bound
+
+    @property
+    def status(self) -> str:
+        if self.margin > 3 * self.stderr_bits:
+            return "pass"
+        if self.margin < -3 * self.stderr_bits:
+            return "fail"
+        return "inconclusive"
 
     @property
     def passed(self) -> bool:
@@ -140,30 +152,16 @@ def certify_marker_length(
     cfg = PatternConfig(p.size, t)
     lams, words = sample_blocks(p, t, trials, seed)
     bits = np.array([_bit_count(w, cfg) for w in words], dtype=float)
-    lams_f = lams.astype(float)
-    mean_bits = float(bits.mean())
-    se_bits = float(bits.std(ddof=1) / math.sqrt(trials))
     e_lam = expected_block_length(p, t)
-    bound = entropy(q) / LOG2 * float(e_lam) + 6.0
-    margin = mean_bits - bound
-    if margin > 3 * se_bits:
-        status = "pass"
-    elif margin < -3 * se_bits:
-        status = "fail"
-    else:
-        status = "inconclusive"
     return CertificationReport(
         marker_len=t,
         trials=trials,
         seed=seed,
-        mean_bits=mean_bits,
-        stderr_bits=se_bits,
-        sim_bound=bound,
+        mean_bits=float(bits.mean()),
+        stderr_bits=float(bits.std(ddof=1) / math.sqrt(trials)),
+        sim_bound=entropy(q) / LOG2 * float(e_lam) + 6.0,
         expected_block_len=e_lam,
-        margin=margin,
-        status=status,
-        mean_block_len=float(lams_f.mean()),
-        stderr_block_len=float(lams_f.std(ddof=1) / math.sqrt(trials)),
+        mean_block_len=float(lams.astype(float).mean()),
     )
 
 
@@ -337,40 +335,19 @@ def tail_fit(samples: Sequence[int]) -> TailFit:
     return TailFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
-@dataclass(frozen=True)
-class Simu1Report:
-    """Exact stopping-time bound check for one target vector.
-
-    ``survival[k]`` = P(T > k).  ``tight_bound_ok`` tests (b+1)/2^k (can fail
-    when an interior cumulative point is dyadic), ``loose_bound_ok`` tests
-    the universal 2(b+1)/2^k, and ``mean_ok`` the enclosure against
-    h(q)/log 2 + 6.
-    """
-
-    target: ProbabilityVector
-    kmax: int
-    survival: tuple[Fraction, ...]
-    tight_bound_ok: bool
-    loose_bound_ok: bool
-    dyadic_interior: bool
-    mean_lo: Fraction
-    mean_hi: Fraction
-    entropy_bound: float
-    mean_ok: bool
-
-
-def verify_simu1(q: ProbabilityVector, kmax: int) -> Simu1Report:
-    """Exact tail and mean verification by direct endpoint location.
+def verify_simu1(q: ProbabilityVector, kmax: int) -> TailReport:
+    """Exact survival P(T > k) for k <= kmax, by direct endpoint location.
 
     For each depth k, an interval of the level-k dyadic grid stays undecided
     iff its closure contains a cumulative point; each point lands in one
-    interval, or two when it sits exactly on the grid.  No tree traversal —
-    this is an independent route from dyadic.exact_tail.
+    interval, or two when it sits exactly on the grid.  No tree traversal:
+    the survival comes by an independent route from dyadic.exact_tail, and
+    only the report built from it, with its derived bounds and mean
+    enclosure, is shared.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     cum = cumulative(q)
-    b = q.size
     survival: list[Fraction] = []
     for k in range(kmax + 1):
         cells: set[int] = set()
@@ -385,22 +362,4 @@ def verify_simu1(q: ProbabilityVector, kmax: int) -> Simu1Report:
                 if rem == 0:
                     cells.add(cell - 1)
         survival.append(Fraction(len(cells), 1 << k))
-    mean_lo = sum(survival[:-1], Fraction(0))
-    mean_hi = mean_lo + Fraction(2 * (b + 1), 1 << (kmax - 1))
-    bound = entropy(q) / LOG2 + 6.0
-    return Simu1Report(
-        target=q,
-        kmax=kmax,
-        survival=tuple(survival),
-        tight_bound_ok=all(
-            s <= Fraction(b + 1, 1 << k) for k, s in enumerate(survival)
-        ),
-        loose_bound_ok=all(
-            s <= Fraction(2 * (b + 1), 1 << k) for k, s in enumerate(survival)
-        ),
-        dyadic_interior=_has_dyadic_interior(cum),
-        mean_lo=mean_lo,
-        mean_hi=mean_hi,
-        entropy_bound=bound,
-        mean_ok=float(mean_hi) <= bound + 1e-9,
-    )
+    return TailReport(q, tuple(survival))

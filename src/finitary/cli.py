@@ -12,7 +12,7 @@ import argparse
 import codecs
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import calibration, dyadic, engine
@@ -106,7 +106,7 @@ def _report(out, **fields) -> None:
 
 
 def _resolve_seed(args, config: Config | None) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     if config is not None and config.seed is not None:
         return config.seed
@@ -182,28 +182,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_encode_config(args) -> Config:
+    """The config file, if any, with the flags that were given over it."""
     config = _load_config(args)
-    fields = dict(
-        alphabet_size=config.alphabet_size if config else None,
-        target=config.target if config else None,
-        entropy_gap=config.entropy_gap if config else None,
-        marker_len=config.marker_len if config else None,
-        seed=config.seed if config else None,
-        max_window=config.max_window if config else engine.DEFAULT_MAX_WINDOW,
-    )
+    flags = {}
     if args.a is not None:
-        fields["alphabet_size"] = args.a
+        flags["alphabet_size"] = args.a
     if args.q is not None:
-        fields["target"] = ProbabilityVector.parse(args.q)
+        flags["target"] = ProbabilityVector.parse(args.q)
     if args.eps is not None:
-        fields["entropy_gap"] = parse_rational(args.eps)
+        flags["entropy_gap"] = parse_rational(args.eps)
     if args.t is not None:
-        fields["marker_len"] = args.t
+        flags["marker_len"] = args.t
     if args.max_window is not None:
-        fields["max_window"] = args.max_window
-    if fields["alphabet_size"] is None or fields["target"] is None:
+        flags["max_window"] = args.max_window
+    if config is not None:
+        return replace(config, **flags)
+    if "alphabet_size" not in flags or "target" not in flags:
         raise ConfigError("encode needs a and q (via --config or flags)")
-    return Config(**fields)
+    return Config(**flags)
 
 
 def _pieces(stdin):
@@ -285,8 +281,7 @@ def _cmd_simulate(args, stdin, stdout) -> int:
 def _cmd_extract(args, stdin, stdout) -> int:
     cfg = PatternConfig(args.a, args.t)
     triple = extract(parse_word(args.word, args.a), cfg)
-    bits = "".join(str(b) for b in triple.bits)
-    stdout.write(f"N={triple.num_bits} F={bits} G={triple.class_id}\n")
+    stdout.write(f"N={triple.num_bits} F={triple.bits} G={triple.class_id}\n")
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 SymbolWord = tuple[int, ...]
-BitString = tuple[int, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 

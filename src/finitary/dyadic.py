@@ -26,10 +26,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 from typing import Iterable
 
-from .core import ProbabilityVector, cumulative
+from .core import ProbabilityVector, cumulative, entropy
 
 
 class InsufficientBitsError(ValueError):
@@ -143,33 +143,61 @@ class DyadicCursor:
 
 @dataclass(frozen=True)
 class TailReport:
-    """Exact per-depth survival of the stopping time plus mean enclosure.
+    """Exact per-depth survival of the stopping time and what it decides.
 
-    ``survival[k]`` is P(T > k) for 0 <= k <= kmax, exact.  ``mean_lo`` and
-    ``mean_hi`` enclose E(T) rigorously.  ``loose_bound_ok`` checks
-    P(T > k) <= 2(b+1)/2^k at every depth; ``tight_bound_ok`` the stronger
-    (b+1)/2^k, which can fail when an interior cumulative point is dyadic.
+    ``survival[k]`` is P(T > k) for 0 <= k <= kmax, exact; every other
+    field is computed from it and ``target``.  ``mean_lo`` and ``mean_hi``
+    enclose E(T) rigorously: the truncated sum, then the universal tail
+    bound past kmax.  ``loose_bound_ok`` checks P(T > k) <= 2(b+1)/2^k at
+    every depth; ``tight_bound_ok`` the stronger (b+1)/2^k, which can fail
+    when an interior cumulative point is dyadic (``dyadic_interior``).
+    ``mean_ok`` checks ``mean_hi`` against ``entropy_bound``, h(q)/log 2 + 6.
+    Both ``exact_tail`` and ``calibration.verify_simu1`` return one.
     """
 
     target: ProbabilityVector
-    kmax: int
     survival: tuple[Fraction, ...]
-    mean_lo: Fraction
-    mean_hi: Fraction
-    tight_bound_ok: bool
-    loose_bound_ok: bool
-    dyadic_interior: bool
 
     def __post_init__(self) -> None:
+        if len(self.survival) < 2:
+            raise ValueError("survival needs depths 0 and 1 at least")
         for a, b in zip(self.survival, self.survival[1:]):
             if b > a:
                 raise ValueError("survival must be non-increasing")
-        if self.mean_lo > self.mean_hi:
-            raise ValueError("empty mean enclosure")
 
+    @property
+    def kmax(self) -> int:
+        return len(self.survival) - 1
 
-def _has_dyadic_interior(cum: list[Fraction]) -> bool:
-    return any(v.denominator & (v.denominator - 1) == 0 for v in cum[1:-1])
+    @property
+    def mean_lo(self) -> Fraction:
+        return sum(self.survival[:-1], Fraction(0))
+
+    @property
+    def mean_hi(self) -> Fraction:
+        return self.mean_lo + Fraction(2 * (self.target.size + 1), 1 << (self.kmax - 1))
+
+    @property
+    def tight_bound_ok(self) -> bool:
+        b = self.target.size
+        return all(s <= Fraction(b + 1, 1 << k) for k, s in enumerate(self.survival))
+
+    @property
+    def loose_bound_ok(self) -> bool:
+        b = self.target.size
+        return all(s <= Fraction(2 * (b + 1), 1 << k) for k, s in enumerate(self.survival))
+
+    @property
+    def dyadic_interior(self) -> bool:
+        return any(v.denominator & (v.denominator - 1) == 0 for v in cumulative(self.target)[1:-1])
+
+    @property
+    def entropy_bound(self) -> float:
+        return entropy(self.target) / log(2) + 6.0
+
+    @property
+    def mean_ok(self) -> bool:
+        return float(self.mean_hi) <= self.entropy_bound + 1e-9
 
 
 def _undecided_children(
@@ -210,21 +238,7 @@ def exact_tail(q: ProbabilityVector, kmax: int) -> TailReport:
     for _ in range(kmax):
         nodes = _undecided_children(cum, nodes, None)
         survival.append(Fraction(len(nodes), 1 << len(survival)))
-    b = q.size
-    mean_lo = sum(survival[:-1], Fraction(0))
-    mean_hi = mean_lo + Fraction(2 * (b + 1), 1 << (kmax - 1))
-    tight = all(s <= Fraction(b + 1, 1 << k) for k, s in enumerate(survival))
-    loose = all(s <= Fraction(2 * (b + 1), 1 << k) for k, s in enumerate(survival))
-    return TailReport(
-        target=q,
-        kmax=kmax,
-        survival=tuple(survival),
-        mean_lo=mean_lo,
-        mean_hi=mean_hi,
-        tight_bound_ok=tight,
-        loose_bound_ok=loose,
-        dyadic_interior=_has_dyadic_interior(cum),
-    )
+    return TailReport(q, tuple(survival))
 
 
 def exact_symbol_law(

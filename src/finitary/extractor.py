@@ -4,7 +4,8 @@ Words over {1..a} that contain no full occurrence of the marker pattern
 (2 followed by t-1 ones) split into classes of equal probability under any
 i.i.d. law: the class of a word is its symbol-count vector.  Within a class,
 words are ranked lexicographically and the class size is decomposed into
-powers of two; a word then maps to (number of bits, bit string, class index).
+powers of two; a word then maps to (number of bits, bit string, class index),
+with the bits a string of "0" and "1" whose length is their number.
 Conditioned on the bit count, the bit string is exactly uniform, and the
 triple is injective, with a constructive inverse.
 
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import BitString, SymbolWord, check_word
+from .core import SymbolWord, check_word
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,21 @@ class PatternConfig:
 
 @dataclass(frozen=True)
 class ExtractionTriple:
-    """(bit count, extracted bits, class index); ``len(bits) == num_bits``."""
+    """A word's extracted bits, as a string of "0" and "1" whose length is
+    the bit count, and its class index."""
 
-    num_bits: int
-    bits: BitString
+    bits: str
     class_id: int
 
     def __post_init__(self) -> None:
-        if len(self.bits) != self.num_bits:
-            raise ValueError("bit string length does not match bit count")
-        if not set(self.bits) <= {0, 1}:
-            raise ValueError("bits must be 0/1")
+        if not set(self.bits) <= {"0", "1"}:
+            raise ValueError("bits must be '0'/'1' characters")
         if self.class_id < 1:
             raise ValueError("class index must be >= 1")
+
+    @property
+    def num_bits(self) -> int:
+        return len(self.bits)
 
 
 def _check_counts(m: tuple[int, ...]) -> None:
@@ -400,18 +403,18 @@ def _wide(counts: tuple[int, ...], t: int) -> bool:
     )
 
 
-def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int, tuple[int, ...]]:
-    """Rank, class size and count vector of a validated word: by the window
-    walk when ``_wide``, else by the term loop run to its end."""
+def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
+    """``(rank, class size)`` of a validated word: by the window walk when
+    ``_wide``, else by the term loop run to its end."""
     t = cfg.marker_len
     counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
     if _wide(counts, t):
-        return (*_window_walk(word, counts, t), counts)
+        return _window_walk(word, counts, t)
     terms = _terms(counts, t)
     size = sum(terms)
     for rank, _ in _term_walk(word, counts, terms, t):
         pass
-    return rank, size, counts
+    return rank, size
 
 
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
@@ -534,23 +537,23 @@ def _sub_block(size: int, rank: int) -> tuple[int, int]:
 
 
 def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
-    """Map a pattern-free word to its (bit count, bits, class index) triple.
+    """Map a pattern-free word to its triple: the extracted bits, whose
+    length is the bit count, and the class index of its count vector.
 
     The class size d splits as a sum of distinct powers of two; ranks are
     assigned to the power-of-two sub-blocks in order, and within a sub-block
     of size 2^e the word's offset from the block's top rank is written out as
     e bits (most significant first).
     """
-    rank, size, counts = _rank(check_word(word, cfg.alphabet_size), cfg)
-    e, offset = _sub_block(size, rank)
-    bits = tuple(map(int, format(offset, f"0{e}b"))) if e else ()
-    return ExtractionTriple(e, bits, class_index(counts))
+    word = check_word(word, cfg.alphabet_size)
+    counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
+    return ExtractionTriple(_extract_bits(word, cfg), class_index(counts))
 
 
 def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> str:
     """The extracted bits of a validated word, as a string of "0" and "1":
     the e binary digits of its offset, most significant first."""
-    rank, size, _ = _rank(word, cfg)
+    rank, size = _rank(word, cfg)
     e, offset = _sub_block(size, rank)
     return format(offset, f"0{e}b") if e else ""
 
@@ -594,5 +597,5 @@ def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:
     top = sum(_terms(m, cfg.marker_len)) >> e
     if not top & 1:
         raise ValueError(f"bit count {e} not realizable for class {triple.class_id}")
-    offset = int("".join("01"[b] for b in triple.bits), 2) if e else 0
+    offset = int(triple.bits, 2) if e else 0
     return unrank_in_class(m, cfg, (top << e) - offset)

@@ -289,7 +289,7 @@ def naive_blocks(stream, a, t) -> list[Block]:
     blocks = []
     for k, (left, right) in enumerate(zip(markers, markers[1:])):
         word = stream[left + t : right]
-        blocks.append(Block(k, left, right, word, extract(word, cfg).bits))
+        blocks.append(Block(k, left, right, word, tuple(map(int, extract(word, cfg).bits))))
     return blocks
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from finitary import calibration
 from finitary.calibration import (
+    CertificationReport,
     _chi2_sf,
     certify_marker_length,
     chi_square,
@@ -83,6 +84,26 @@ class TestCertify:
         small = certify_marker_length(UNIF3, FAIR, 4, 1000, seed=5)
         large = certify_marker_length(UNIF3, FAIR, 4, 3000, seed=5)
         assert small.status == "pass" and large.status == "pass"
+
+    @pytest.mark.parametrize(
+        "mean_bits,status",
+        [(13.5, "pass"), (13.0, "inconclusive"), (7.0, "inconclusive"), (6.5, "fail")],
+    )
+    def test_status_from_margin_in_standard_errors(self, mean_bits, status):
+        # A margin of exactly +3 or -3 standard errors is inconclusive.
+        rep = CertificationReport(
+            marker_len=3,
+            trials=100,
+            seed=0,
+            mean_bits=mean_bits,
+            stderr_bits=1.0,
+            sim_bound=10.0,
+            expected_block_len=F(8),
+            mean_block_len=8.0,
+        )
+        assert rep.margin == mean_bits - 10.0
+        assert rep.status == status
+        assert rep.passed == (status == "pass")
 
     @pytest.mark.parametrize(
         "p,t,trials,seed",
@@ -210,12 +231,11 @@ class TestVerifySimu1:
         "text", ["1/2,1/2", "1/3,2/3", "1/4,1/4,1/2", "1/6,1/3,1/2", "3/8,1/8,1/2"]
     )
     def test_agrees_with_tree_pruning_route(self, text):
-        # Two independent exact methods: endpoint location vs interval splitting.
+        # Two independent exact methods: endpoint location vs interval
+        # splitting.  A report holds only the target and the survival, so
+        # equal reports mean equal survival at every depth.
         q = ProbabilityVector.parse(text)
-        a = verify_simu1(q, 16)
-        b = exact_tail(q, 16)
-        assert a.survival == b.survival
-        assert (a.mean_lo, a.mean_hi) == (b.mean_lo, b.mean_hi)
+        assert verify_simu1(q, 16) == exact_tail(q, 16)
 
 
 class TestVerifyExtractor:

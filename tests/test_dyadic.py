@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finitary.core import ProbabilityVector, entropy
-from finitary.dyadic import DyadicCursor, exact_symbol_law, exact_tail
+from finitary.dyadic import DyadicCursor, TailReport, exact_symbol_law, exact_tail
 
 from oracles import FractionCursor, brute_survival, oracle_simulate
 
@@ -299,6 +299,13 @@ class TestExactTail:
         rep = exact_tail(FAIR, 4)
         assert rep.dyadic_interior and not rep.tight_bound_ok
         assert rep.survival[3] == F(1, 2) > F(3, 8)
+
+    @pytest.mark.parametrize(
+        "survival", [(F(1),), (F(1), F(1, 2), F(3, 4)), (F(1, 2), F(1))]
+    )
+    def test_report_refuses_short_or_increasing_survival(self, survival):
+        with pytest.raises(ValueError):
+            TailReport(FAIR, survival)
 
 
 class TestExactMean:

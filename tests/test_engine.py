@@ -113,7 +113,7 @@ class TestSweep:
         for k in range(2_000, -1, -1):
             ref = FractionCursor(FAIR, 3 + len(word) if k == 2_000 else 3)
             while not ref.successful and pos < len(bits):
-                ref.feed(bits[pos])
+                ref.feed(int(bits[pos]))
                 pos += 1
             if not ref.successful:
                 break

@@ -205,34 +205,36 @@ class TestClassIndex:
 
 class TestExtract:
     def test_pinned_triples(self):
-        assert extract((1, 1, 2), CFG23) == ExtractionTriple(1, (1,), 3)
-        assert extract((2, 1, 2), CFG23) == ExtractionTriple(1, (0,), 2)
-        assert extract((2, 2, 1), CFG23) == ExtractionTriple(0, (), 2)
+        assert extract((1, 1, 2), CFG23) == ExtractionTriple("1", 3)
+        assert extract((2, 1, 2), CFG23) == ExtractionTriple("0", 2)
+        assert extract((2, 2, 1), CFG23) == ExtractionTriple("", 2)
 
     def test_empty_word(self):
-        assert extract((), CFG23) == ExtractionTriple(0, (), 1)
-        assert invert(0, CFG23, ExtractionTriple(0, (), 1)) == ()
+        assert extract((), CFG23) == ExtractionTriple("", 1)
+        assert invert(0, CFG23, ExtractionTriple("", 1)) == ()
 
     def test_rejects_pattern(self):
         with pytest.raises(ValueError):
             extract((2, 1, 1), CFG23)
 
     def test_pinned_inversions(self):
-        assert invert(3, CFG23, ExtractionTriple(1, (1,), 3)) == (1, 1, 2)
-        assert invert(3, CFG23, ExtractionTriple(0, (), 2)) == (2, 2, 1)
+        assert invert(3, CFG23, ExtractionTriple("1", 3)) == (1, 1, 2)
+        assert invert(3, CFG23, ExtractionTriple("", 2)) == (2, 2, 1)
 
     def test_invert_rejects_unrealizable(self):
         # Class (2,1) has size 2 = 2^1: a zero-bit output never occurs.
         with pytest.raises(ValueError):
-            invert(3, CFG23, ExtractionTriple(0, (), 3))
+            invert(3, CFG23, ExtractionTriple("", 3))
         with pytest.raises(ValueError):
-            invert(3, CFG23, ExtractionTriple(1, (0,), 99))
+            invert(3, CFG23, ExtractionTriple("0", 99))
 
     def test_triple_validates_lengths(self):
-        with pytest.raises(ValueError):
-            ExtractionTriple(2, (1,), 1)
-        with pytest.raises(ValueError):
-            ExtractionTriple(1, (2,), 1)
+        # The bit count is the length of the bits, so only their characters
+        # and the class index can be wrong.
+        assert ExtractionTriple("0110", 1).num_bits == 4
+        for bits, class_id in (("12", 1), ((1,), 1), ("1", 0)):
+            with pytest.raises(ValueError):
+                ExtractionTriple(bits, class_id)
 
     @pytest.mark.parametrize("a,t", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_injective_and_invertible_exhaustively(self, a, t):
@@ -265,7 +267,7 @@ class TestExtract:
                 for k, outs in by_bits.items():
                     assert len(outs) == 1 << k
                     assert sorted(outs) == sorted(
-                        itertools.product((0, 1), repeat=k)
+                        map("".join, itertools.product("01", repeat=k))
                     )
 
 
