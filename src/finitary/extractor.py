@@ -41,10 +41,12 @@ sub-block, which is usually a few symbols in.  The window walk returns only
 the final rank, so on a word that takes it ``_bit_count`` tries t term-loop
 steps and then takes the full rank.
 
-The inverse, ``unrank_in_class``, rebuilds the word from the same terms
-with one exact division per term for each candidate symbol it tries, and a
-subtraction for the last.  It shares no code with the rank walks, so a
-round trip checks one by the other.
+The inverse, ``unrank_in_class``, is the window walk given a target rank,
+for every word and every t.  At each position the window already holds
+every candidate symbol's count, so the walk chooses the symbol whose range
+holds the target and then steps as it does to rank it.  A round trip on a
+wide word thus checks the window walk against itself; the tests check the
+unrank against brute enumeration and long words against the term loop.
 
 Pattern containment is *full* containment: an occurrence must fit entirely
 inside the word, including one ending at its last position.
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from .core import SymbolWord, check_word
@@ -160,9 +163,9 @@ def _term_walk(
     quotient is exact.  Only the last term can reach zero, and then it is
     dropped.  Raises ValueError at the symbol that completes the pattern.
 
-    Counting the completions below each symbol, as ``unrank_in_class``
-    does, takes the pending count of a 2 off at the symbol that ends the
-    2's run of ones.  Its r-th part is ``T_r * r / y_r`` at the 2, so the 2
+    Counting the completions below each symbol, as the window walk does,
+    takes the pending count of a 2 off at the symbol that ends its run of
+    ones.  Its r-th part is ``T_r * r / y_r`` at the 2, so the 2
     adds it up front instead, through a ``dc`` one less.  A last 2 whose
     run reaches the end of the word is never ended, but then the suffix at
     the 2 holds fewer than t-1 ones, no term beyond r = 0 is left and the
@@ -239,7 +242,9 @@ def _window(top: int, s: int, c: int, k: int, big_m: int) -> list[int]:
     return g
 
 
-def _window_walk(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
+def _window_walk(
+    word: SymbolWord | list[int], counts: tuple[int, ...], t: int, target: int = 0
+) -> tuple[int, int]:
     """``(rank, class size)`` of a validated word, by the window walk.
 
     With s = t-1, a suffix with m_1 ones, c twos and k symbols other than 1
@@ -294,11 +299,19 @@ def _window_walk(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int
     from M by s forward steps.  So each symbol costs O(t) exact operations
     and the walk keeps O(t) values.  Raises ValueError when the word
     contains the pattern.
+
+    Given a ``target`` rank, the walk unranks instead (enumerative decoding,
+    Cover 1973): it appends the class's word of that rank to ``word``, an
+    empty list.  Each step chooses a symbol and then takes its step.  Let
+    room = (target - rank) D - pending, less what a symbol above 1 adds for
+    a 1.  A 1 is chosen when room < 0, else the first c with room k <
+    (G(m_1) - G(m_1-1)) (m_2 + ... + m_c), k times the suffixes that start
+    with 2 to c.
     """
     s = t - 1
     m = list(counts)
     ones, c = m[0], m[1]
-    k = len(word) - ones
+    k = sum(counts) - ones
     rank, pending, d = 1, 0, 1  # the rank is rank + pending / d
     flush = _FLUSH_BITS
     big_m = _multinomial(counts[1:])
@@ -307,13 +320,27 @@ def _window_walk(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int
     star = c * s - k - 1
     h = None
     j = -1  # ones after the last 2 while its run is open, else -1
-    for sym in word:
+    for sym in repeat(0, ones + k) if target else word:
         # Drop the companion once unneeded; seed it from M once N >= 0.
         if star >= ones - s or ones <= s:
             h = big_m = None
         elif star >= 0 and big_m is not None:
             h, big_m = _window(star + s, s, c, k, big_m), None
-        if sym > 1:
+        if target:
+            one = g[s - 1] - (g[j] if j >= 0 else 0)
+            room = (target - rank) * d - pending - one
+            if room < 0:
+                sym = 1
+            else:
+                pending += one
+                room *= k
+                rise = g[s] - g[s - 1]
+                sym, below = 2, rise * m[1]
+                while room >= below:
+                    sym += 1
+                    below += rise * m[sym - 1]
+            word.append(sym)
+        elif sym > 1:
             pending += g[s - 1] - (g[j] if j >= 0 else 0)
         if sym == 2:
             j = 0
@@ -403,11 +430,15 @@ def _wide(counts: tuple[int, ...], t: int) -> bool:
     )
 
 
-def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
-    """``(rank, class size)`` of a validated word: by the window walk when
-    ``_wide``, else by the term loop run to its end."""
-    t = cfg.marker_len
-    counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
+def _counts(word: SymbolWord, cfg: PatternConfig) -> tuple[int, ...]:
+    """The count vector of a validated word."""
+    return tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
+
+
+def _rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
+    """``(rank, class size)`` of a validated word with count vector
+    ``counts``: by the window walk when ``_wide``, else by the term loop run
+    to its end."""
     if _wide(counts, t):
         return _window_walk(word, counts, t)
     terms = _terms(counts, t)
@@ -420,61 +451,22 @@ def _rank(word: SymbolWord, cfg: PatternConfig) -> tuple[int, int]:
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
     """1-based lexicographic rank of ``word`` among pattern-free words with
     the same count vector."""
-    return _rank(check_word(word, cfg.alphabet_size), cfg)[0]
+    word = check_word(word, cfg.alphabet_size)
+    return _rank(word, _counts(word, cfg), cfg.marker_len)[0]
 
 
-def unrank_in_class(
-    m: tuple[int, ...], cfg: PatternConfig, rank: int
-) -> SymbolWord:
-    """Inverse of rank_in_class on the class with count vector ``m``.
-
-    One pass over the positions with the signed ``_terms`` of the suffix.
-    Candidate c's row is ``T_r * k / y_r``, exact, with ``k = x_r`` for
-    c = 1 and ``k = m_c`` otherwise; for c = 2 that counts the 2 with its r
-    marked copies, so the rows sum to the terms.  A candidate's count is its
-    row's sum; c = 1 also loses the ``pending`` completions that would
-    finish an open 2's pattern.  The chosen row, less a dead last term, is
-    the next terms.  A chosen 2 takes the row ``T_r * (m_2 - r) / y_r``
-    instead, and ``pending`` becomes that row's sum less the 2's count,
-    ``-sum(T_r * r / y_r)``.  It holds through the 2's run of ones, which a
-    symbol above 2 ends.  The pass never calls the rank walk.
-    """
+def unrank_in_class(m: tuple[int, ...], cfg: PatternConfig, rank: int) -> SymbolWord:
+    """Inverse of rank_in_class on the class with count vector ``m``: the
+    window walk, choosing each symbol by the target ``rank``.  A t = 1 class
+    has no 2, so its words are every order of its symbols, as at t = 2."""
     _check_counts(m)
     if len(m) != cfg.alphabet_size:
         raise ValueError("count vector length does not match alphabet size")
-    step = cfg.marker_len - 1
-    terms = _terms(tuple(m), cfg.marker_len)
-    total = sum(terms)
+    total = sum(_terms(m, cfg.marker_len))
     if not 1 <= rank <= total:
         raise ValueError(f"rank {rank} outside 1..{total}")
-    counts = list(m)
-    pending = 0
     word: list[int] = []
-    for n in range(sum(m), 0, -1):
-        tried: list[list[int]] = []
-        for c, k in enumerate(counts, start=1):
-            if not k:
-                continue
-            if any(counts[c:]):
-                shrink = step if c == 1 else 0
-                row = [u * (k - r * shrink) // (n - r * step) for r, u in enumerate(terms)]
-            else:  # the last candidate: the rows sum to the terms
-                row = [u - sum(col) for u, col in zip(terms, zip(*tried))] if tried else terms
-            count = sum(row) - (pending if c == 1 else 0)
-            if rank <= count:
-                break
-            rank -= count
-            tried.append(row)
-        else:  # pragma: no cover - rank was validated above
-            raise AssertionError("unrank walk exhausted the alphabet")
-        word.append(c)
-        counts[c - 1] -= 1
-        if c == 2:
-            row = [u * (k - r) // (n - r * step) for r, u in enumerate(terms)]
-            pending = sum(row) - count
-        elif c > 2:
-            pending = 0
-        terms = row if row[-1] else row[:-1]
+    _window_walk(word, m, max(cfg.marker_len, 2), rank)
     return tuple(word)
 
 
@@ -546,14 +538,19 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     e bits (most significant first).
     """
     word = check_word(word, cfg.alphabet_size)
-    counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
-    return ExtractionTriple(_extract_bits(word, cfg), class_index(counts))
+    counts = _counts(word, cfg)
+    return ExtractionTriple(_extract_bits(word, cfg, counts), class_index(counts))
 
 
-def _extract_bits(word: SymbolWord, cfg: PatternConfig) -> str:
+def _extract_bits(
+    word: SymbolWord, cfg: PatternConfig, counts: tuple[int, ...] | None = None
+) -> str:
     """The extracted bits of a validated word, as a string of "0" and "1":
-    the e binary digits of its offset, most significant first."""
-    rank, size = _rank(word, cfg)
+    the e binary digits of its offset, most significant first.  ``counts``
+    is the word's count vector, counted here when not given."""
+    if counts is None:
+        counts = _counts(word, cfg)
+    rank, size = _rank(word, counts, cfg.marker_len)
     e, offset = _sub_block(size, rank)
     return format(offset, f"0{e}b") if e else ""
 
@@ -571,7 +568,7 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     pattern after the stop goes unnoticed.
     """
     t = cfg.marker_len
-    counts = tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
+    counts = _counts(word, cfg)
     terms = _terms(counts, t)
     size = sum(terms)
     budget = t

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -307,22 +308,18 @@ class TestAgainstNaiveRanker:
 
     @pytest.mark.parametrize("a", [2, 3, 4])
     def test_unrank_is_independent_of_the_rank_walk(self, monkeypatch, a):
-        # Round trips check the rank walk against unrank_in_class, so the
-        # unrank must not take any part of the walk.
+        # unrank_in_class chooses each symbol with the window walk, which
+        # also ranks the wide words.  So it must not take the dispatch or the
+        # term loop, and every class is checked against sorted brute
+        # enumeration instead, at every width in ``_FLUSHES``.
         def refuse(*args, **kwargs):
             raise AssertionError("the rank walk was called")
 
-        for name in (
-            "_wide",
-            "_term_walk",
-            "_window_walk",
-            "_window",
-            "_extend",
-            "_rank",
-        ):
+        for name in ("_wide", "_term_walk", "_rank"):
             monkeypatch.setattr(extractor, name, refuse)
         with pytest.raises(AssertionError, match="rank walk"):
             rank_in_class((1, 2, 1), PatternConfig(a, 3))
+        cases = []
         for t in range(1, 5):
             cfg = PatternConfig(a, t)
             for n in range(7):
@@ -331,7 +328,11 @@ class TestAgainstNaiveRanker:
                     by_class.setdefault(count_vector(w, a), []).append(w)
                 for m, words in by_class.items():
                     for rank, w in enumerate(sorted(words), start=1):
-                        assert unrank_in_class(m, cfg, rank) == w
+                        cases.append((m, cfg, rank, w))
+        for flush in _FLUSHES:
+            monkeypatch.setattr(extractor, "_FLUSH_BITS", flush)
+            for m, cfg, rank, w in cases:
+                assert unrank_in_class(m, cfg, rank) == w
 
 
 def _splice(word, at, piece):
@@ -452,11 +453,13 @@ class TestWindowedWalk:
             assert rank_in_class(w, cfg) == naive_rank_in_class(w, cfg) == 1
             assert set(_rank_by_each_walk(w, cfg)) == {1}
 
-    def test_roundtrip_long_word(self):
-        # unrank_in_class walks the terms one symbol at a time, so it is an
-        # independent route back from the window walk's rank.
+    def test_roundtrip_long_word(self, monkeypatch):
+        # The term loop ranks this wide word, forced by ``_never_wide``, and
+        # the window walk unranks it: two walks that share no code.
         cfg = PatternConfig(3, 8)
         w = _random_free_word(random.Random(3000), 3, 8, 3000)
+        assert extractor._wide(count_vector(w, 3), 8)
+        monkeypatch.setattr(extractor, "_wide", _never_wide)
         assert invert(len(w), cfg, extract(w, cfg)) == w
 
 
@@ -890,6 +893,19 @@ def test_extract_keeps_no_table_between_calls():
         tracemalloc.stop()
     assert retained[0] < 16384
     assert retained[1] - retained[0] < 1024
+
+
+def test_selector_blocks_roundtrip():
+    # The blocks of the first 8,000 symbols of PCG64(7), uniform over
+    # {1, 2, 3}, at the selector's t = 6: the ``selector_t6`` stream's 7
+    # blocks, up to 2,732 symbols long.  Each comes back from its triple.
+    cfg = PatternConfig(3, 6)
+    stream = np.random.Generator(np.random.PCG64(7)).integers(1, 4, size=8000).tolist()
+    markers = scan_markers(stream, cfg)
+    blocks = [tuple(stream[left + 6 : right]) for left, right in zip(markers, markers[1:])]
+    assert len(blocks) == 7 and max(map(len, blocks)) == 2732
+    for w in blocks:
+        assert invert(len(w), cfg, extract(w, cfg)) == w
 
 
 def test_four_symbol_alphabet_roundtrip():
