@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 from . import calibration, dyadic, engine
 from .core import ProbabilityVector, parse_bits, parse_rational, parse_word
@@ -234,7 +235,7 @@ def _read_symbols(stdin, stdout):
         text = carry + piece
         tokens = text.split()
         carry = tokens.pop() if tokens and not text[-1].isspace() else ""
-        yield [int(tok) for tok in tokens]
+        yield list(map(int, tokens))
         stdout.flush()
     if carry:
         yield [int(carry)]
@@ -251,13 +252,18 @@ def _cmd_encode(args, stdin, stdout) -> int:
     symbols = _read_symbols(stdin, stdout)
     for blk in engine.encode_stream(symbols, cfg, config.target, config.max_window):
         if args.report:
-            left, right = blk.left_marker, blk.right_extent
-            rows = (
-                f"{i}\t{s}\t{max(i - left, right - i)}\n"
-                for i, s in zip(blk.indices, blk.symbols)
+            left, right, indices = blk.left_marker, blk.right_extent, blk.indices
+            # The radius max(i - left, right - i) falls to the middle of the
+            # block and rises after it: right - i before ``mid``, the first
+            # index past the middle, and i - left from it on.
+            mid = min(max((left + right) // 2 + 1, indices.start), indices.stop)
+            radii = chain(
+                range(right - indices.start, right - mid, -1),
+                range(mid - left, indices.stop - left),
             )
+            rows = [f"{i}\t{s}\t{r}\n" for i, s, r in zip(indices, blk.symbols, radii)]
         else:
-            rows = (f"{s}\n" for s in blk.symbols)
+            rows = [f"{s}\n" for s in blk.symbols]
         stdout.write("".join(rows))
     return EXIT_OK
 

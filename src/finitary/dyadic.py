@@ -12,9 +12,12 @@ integer numerators over their common denominator, and the undecided interval
 is kept as numerators over one integer scale relative to the current cell.
 Bits arrive as characters "0" and "1", a run at a time from an iterator
 that several cursors may share, and ``DyadicCursor.read`` is the one loop
-that refines the interval bit by bit.  Ties (an endpoint landing exactly on
-a cell boundary) never decide, which keeps success monotone under extension
-of the bit string.
+that refines the interval bit by bit.  Within a read it keeps the interval's
+distances to the two ends of the cell that holds its left end, so a bit that
+decides nothing costs two integer updates; the cell is looked up again only
+when the left end leaves it and after a symbol is emitted.  Ties (an
+endpoint landing exactly on a cell boundary) never decide, which keeps
+success monotone under extension of the bit string.
 
 Also provides exact analyzers of the stopping-time law: per-depth survival
 probabilities, a rigorous enclosure of the expected stopping time, and the
@@ -55,6 +58,20 @@ class DyadicCursor:
       ``(L+W)*Q < C_j*D``, both strict, so a tie never decides;
     - emitting ``j`` rescales the cell to [0, 1]: ``L <- L*Q - C_{j-1}*D``,
       ``W <- W*Q``, ``D <- D*(C_j - C_{j-1})``, then divides out the gcd.
+
+    ``read`` works on the cell j that holds the left end, ``C_{j-1}*D <=
+    L*Q < C_j*D``, through two integers:
+
+        a = L*Q - C_{j-1}*D  (>= 0),    b = C_j*D - (L+W)*Q.
+
+    A bit doubles both and adds ``W*Q`` to ``a`` for "1" or to ``b`` for
+    "0", and symbol j is determined iff ``a > 0 and b > 0``.  A "0" keeps
+    the left end in cell j.  ``bisect`` finds the cell at the start of a
+    read, and again only when ``b + W*Q <= 0`` (the left end has reached
+    ``C_j``) and after an emission.  ``D``'s doublings are applied as one
+    shift at those points and at the end of the read, which stores ``L =
+    (a + C_{j-1}*D)/Q`` and ``W`` back, so a read leaves (L, W, D) as the
+    bit-by-bit rules above would.
 
     A degenerate single-symbol target is supported; it still consumes at
     least two bits, since the interval must clear both endpoints of [0, 1].
@@ -101,44 +118,57 @@ class DyadicCursor:
         emitted, horizon = self.emitted, self.horizon
         if len(emitted) == horizon:
             raise ValueError("cursor is already successful; reading rejected")
-        left, width, scale = self._left, self._width, self._scale
         cum, den = self._cum, self._den
-        used = 0
+        scale = self._scale
+        lq, wq = self._left * den, self._width * den  # L*Q and W*Q
+        bits = iter(bits)
+        used = shifted = 0  # D is ``scale`` doubled ``used - shifted`` times
         try:
-            for bit in bits:
-                if bit == "1":
-                    left = 2 * left + width
-                elif bit == "0":
-                    left = 2 * left
-                else:
-                    raise ValueError(f"bit {bit!r} is not '0' or '1'")
-                scale *= 2
-                used += 1
-                while True:
-                    # Candidate j: the cell holding the left end, C_{j-1} <= L*Q/D < C_j.
-                    floor, rem = divmod(left * den, scale)
-                    j = bisect_right(cum, floor)
-                    if rem == 0 and cum[j - 1] == floor:
-                        break  # the left end is on a cell boundary
-                    if (left + width) * den >= cum[j] * scale:
-                        break
-                    emitted.append(j)
-                    left = left * den - cum[j - 1] * scale
-                    width *= den
-                    scale *= cum[j] - cum[j - 1]
-                    g = gcd(left, width, scale)
-                    if g > 1:
-                        left //= g
-                        width //= g
-                        scale //= g
-                    if len(emitted) == horizon:
-                        break
+            while True:
+                # The cell j of the left end, C_{j-1} <= L*Q/D < C_j, and a and b.
+                j = bisect_right(cum, lq // scale)
+                a = lq - cum[j - 1] * scale
+                b = cum[j] * scale - lq - wq
                 if len(emitted) == horizon:
-                    break
+                    return used
+                if not (a > 0 and b > 0):
+                    for bit in bits:
+                        if bit == "1":
+                            a += a + wq
+                            b += b
+                        elif bit == "0":
+                            a += a
+                            b += b + wq
+                        else:
+                            raise ValueError(f"bit {bit!r} is not '0' or '1'")
+                        used += 1
+                        if b > 0:
+                            if a:
+                                break  # j is determined
+                        elif b + wq <= 0:
+                            break  # the left end has reached C_j
+                    else:
+                        return used
+                    scale <<= used - shifted
+                    shifted = used
+                    if b <= 0:
+                        lq = a + cum[j - 1] * scale
+                        continue
+                emitted.append(j)
+                # Rescale cell j to [0, 1]: L <- a, W <- W*Q, D <- D*(C_j - C_{j-1}).
+                scale *= cum[j] - cum[j - 1]
+                g = gcd(a, wq, scale)
+                if g > 1:
+                    a //= g
+                    wq //= g
+                    scale //= g
+                lq, wq = a * den, wq * den
         finally:
-            self._left, self._width, self._scale = left, width, scale
+            scale <<= used - shifted
+            self._left = (a + cum[j - 1] * scale) // den
+            self._width = wq // den
+            self._scale = scale
             self.bits_consumed += used
-        return used
 
 
 @dataclass(frozen=True)

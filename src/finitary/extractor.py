@@ -34,12 +34,14 @@ cost less than t window values.  Nothing is cached between calls, and the
 window walk keeps O(t) values, so memory is bounded by the longest word in
 flight.
 
-The term loop yields ``(rank, span)`` at every step, with the final rank in
-``[rank, rank + span - 1]``.  So a caller that needs only the bit count
-(``_bit_count``) stops as soon as that interval fits inside one power-of-two
-sub-block, which is usually a few symbols in.  The window walk returns only
-the final rank, so on a word that takes it ``_bit_count`` tries t term-loop
-steps and then takes the full rank.
+The term loop yields the rank at every step and keeps the caller's terms
+current in place, so with span their sum, the final rank lies in ``[rank,
+rank + span - 1]``.  A caller that needs only the bit count (``_bit_count``)
+sums them and stops as soon as that interval fits inside one power-of-two
+sub-block, which is usually a few symbols in; the callers that rank never
+sum them.  The window walk returns only the final rank, so on a word that
+takes it ``_bit_count`` tries t term-loop steps and then takes the full
+rank.
 
 The inverse, ``unrank_in_class``, is the window walk given a target rank,
 for every word and every t.  At each position the window already holds
@@ -152,14 +154,16 @@ _FLUSH_BITS = 256
 
 def _term_walk(
     word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(rank, span)`` along the term loop over a validated word.
+) -> Iterator[int]:
+    """Yield the rank along the term loop over a validated word, before the
+    first symbol and after each.
 
     ``counts`` is the word's count vector and ``terms`` its ``_terms``,
-    which the loop updates in place as the suffix shrinks.  Each symbol
-    leaves ``(y, x, shrink, c, dc)``: for the r-th term it adds ``T_r * (c -
-    r*dc) / y_r`` to the rank (the completions that start below it) and then
-    leaves ``T_r * (x - r*shrink) / y_r``, with ``y_r = y - r(t-1)``; every
+    which the loop updates in place as the suffix shrinks: at each yield
+    they are the terms of the suffix left.  Each symbol leaves ``(y, x,
+    shrink, c, dc)``: for the r-th term it adds ``T_r * (c - r*dc) / y_r``
+    to the rank (the completions that start below it) and then leaves
+    ``T_r * (x - r*shrink) / y_r``, with ``y_r = y - r(t-1)``; every
     quotient is exact.  Only the last term can reach zero, and then it is
     dropped.  Raises ValueError at the symbol that completes the pattern.
 
@@ -171,22 +175,23 @@ def _term_walk(
     the 2 holds fewer than t-1 ones, no term beyond r = 0 is left and the
     part is zero.
 
-    ``span`` is ``sum(terms)``, and the word's final rank lies in ``[rank,
-    rank + span - 1]``.  Let R be the rank of the first word in the class
-    with the prefix walked so far, and p the pending count of a 2 whose run
+    With span = ``sum(terms)`` at the yield, the word's final rank lies in
+    ``[rank, rank + span - 1]``.  Let R be the rank of the first word in the
+    class with the prefix walked so far, and p the pending count of a 2 whose run
     of ones is still open at the prefix's end (0 if there is none).  Each 2
     takes its pending count off up front, so ``rank`` is R - p <= R.  The
     words with the prefix are the pattern-free suffixes, ``sum(terms)`` of
     them, less the p that would finish the open pattern, so the final rank
-    is at most R + sum(terms) - p - 1.  The last yield is ``(rank, 1)``
-    with the exact rank.
+    is at most R + sum(terms) - p - 1.  The last yield is the exact rank,
+    with span 1.  The loop does not sum the span: only a caller that stops
+    early reads it.
     """
     step = t - 1
     m = list(counts)
     if t == 1 and m[1]:
         raise ValueError("word contains the marker pattern")
     rank = 1
-    yield rank, sum(terms)
+    yield rank
     state = 0
     n = len(word)
     for i, sym in enumerate(word):
@@ -204,7 +209,6 @@ def _term_walk(
             state = 0
             x, shrink, c, dc = m[sym - 1], 0, sum(m[: sym - 1]), step
         m[sym - 1] -= 1
-        span = 0
         for r, u in enumerate(terms):
             if c:
                 rank += u * c // y
@@ -213,11 +217,10 @@ def _term_walk(
                 del terms[r:]
                 break
             terms[r] = u
-            span += u
             y -= step
             x -= shrink
             c -= dc
-        yield rank, span
+        yield rank
 
 
 def _extend(g: list[int], top: int, s: int, c: int, k: int) -> None:
@@ -443,7 +446,7 @@ def _rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
         return _window_walk(word, counts, t)
     terms = _terms(counts, t)
     size = sum(terms)
-    for rank, _ in _term_walk(word, counts, terms, t):
+    for rank in _term_walk(word, counts, terms, t):
         pass
     return rank, size
 
@@ -456,17 +459,23 @@ def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
 
 
 def unrank_in_class(m: tuple[int, ...], cfg: PatternConfig, rank: int) -> SymbolWord:
-    """Inverse of rank_in_class on the class with count vector ``m``: the
-    window walk, choosing each symbol by the target ``rank``.  A t = 1 class
-    has no 2, so its words are every order of its symbols, as at t = 2."""
+    """Inverse of rank_in_class on the class with count vector ``m``."""
     _check_counts(m)
     if len(m) != cfg.alphabet_size:
         raise ValueError("count vector length does not match alphabet size")
     total = sum(_terms(m, cfg.marker_len))
     if not 1 <= rank <= total:
         raise ValueError(f"rank {rank} outside 1..{total}")
+    return _unrank(m, cfg.marker_len, rank)
+
+
+def _unrank(m: tuple[int, ...], t: int, rank: int) -> SymbolWord:
+    """The word of ``rank`` in the class with counts ``m``, for a rank in 1
+    up to the class size: the window walk, choosing each symbol by the
+    target rank.  A t = 1 class has no 2, so its words are every order of
+    its symbols, as at t = 2."""
     word: list[int] = []
-    _window_walk(word, m, max(cfg.marker_len, 2), rank)
+    _window_walk(word, m, max(t, 2), rank)
     return tuple(word)
 
 
@@ -558,8 +567,9 @@ def _extract_bits(
 def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     """``extract(word, cfg).num_bits``, ranking only as far as it takes.
 
-    The term loop stops at the first step whose rank interval lies inside
-    one power-of-two sub-block: the one ``_sub_block`` finds for the low
+    The term loop stops at the first step whose rank interval, from the rank
+    to the rank plus ``sum(terms)`` less one, lies inside one power-of-two
+    sub-block: the one ``_sub_block`` finds for the low
     end, when the interval ends no more than its offset above it.  On a
     word that is ``_wide``, each term-loop step costs a pass over many wide
     terms, so after t unsettled steps the count comes from the window walk's
@@ -572,9 +582,9 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     terms = _terms(counts, t)
     size = sum(terms)
     budget = t
-    for rank, span in _term_walk(word, counts, terms, t):
+    for rank in _term_walk(word, counts, terms, t):
         e, offset = _sub_block(size, rank)
-        if span <= offset + 1:
+        if sum(terms) <= offset + 1:
             return e
         if not budget:
             if _wide(counts, t):
@@ -594,5 +604,7 @@ def invert(n: int, cfg: PatternConfig, triple: ExtractionTriple) -> SymbolWord:
     top = sum(_terms(m, cfg.marker_len)) >> e
     if not top & 1:
         raise ValueError(f"bit count {e} not realizable for class {triple.class_id}")
+    # The sub-blocks above 2^e hold ranks 1 to (top - 1) 2^e, so the rank
+    # lies in the next 2^e, inside the class: no check is left to repeat.
     offset = int(triple.bits, 2) if e else 0
-    return unrank_in_class(m, cfg, (top << e) - offset)
+    return _unrank(m, cfg.marker_len, (top << e) - offset)

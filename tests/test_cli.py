@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import select
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from finitary.cli import (
 from finitary.core import ProbabilityVector
 from finitary.engine import WindowExhausted, map_range
 from finitary.extractor import PatternConfig
+
+from oracles import contains_marker
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -163,23 +166,50 @@ class TestEncodeCommand:
         assert code == EXIT_OK and out == ""
 
 
+def long_blocks_stream(seed, blocks, t):
+    """A stream over {1, 2, 3} of ``blocks`` blocks of 40 to 120 symbols
+    between markers, with one symbol before the first marker and after the
+    last.  Each block's simulator succeeds on its own bits, so a cap below
+    its length leaves its first indices undetermined and raises nothing."""
+    rng = random.Random(seed)
+    marker = [2] + [1] * (t - 1)
+    out = [3]
+    for _ in range(blocks):
+        while True:
+            word = [rng.choice((1, 2, 3)) for _ in range(rng.randint(40, 120))]
+            if not contains_marker(word, t):
+                break
+        out += marker + word
+    return " ".join(map(str, out + marker + [3]))
+
+
 class TestEncodeWriter:
     # Streams: random ones with undetermined edges, one with a single marker
-    # and one with none.
+    # and one with none, each with no cap.  Under a cap, the long blocks'
+    # determined indices start late, some of them past the block's middle.
     STREAMS = [
-        pytest.param(make_stream(5, 1500, 3), 3, 3, id="seed5-a3-t3"),
-        pytest.param(make_stream(8, 900, 3), 3, 2, id="seed8-a3-t2"),
-        pytest.param(make_stream(9, 700, 2), 2, 4, id="seed9-a2-t4"),
-        pytest.param("3 1 1 3 2 1 1 3 3 1", 3, 3, id="one-marker"),
-        pytest.param("1 3 3 1 1 3", 3, 3, id="no-marker"),
+        pytest.param(make_stream(5, 1500, 3), 3, 3, None, id="seed5-a3-t3"),
+        pytest.param(make_stream(8, 900, 3), 3, 2, None, id="seed8-a3-t2"),
+        pytest.param(make_stream(9, 700, 2), 2, 4, None, id="seed9-a2-t4"),
+        pytest.param("3 1 1 3 2 1 1 3 3 1", 3, 3, None, id="one-marker"),
+        pytest.param("1 3 3 1 1 3", 3, 3, None, id="no-marker"),
+        pytest.param(long_blocks_stream(1, 6, 4), 3, 4, 40, id="long-blocks-t4-cap40"),
+        pytest.param(long_blocks_stream(2, 6, 3), 3, 3, 40, id="long-blocks-t3-cap40"),
     ]
 
     @pytest.mark.parametrize("report", [False, True])
-    @pytest.mark.parametrize("text,a,t", STREAMS)
-    def test_matches_per_index_rendering(self, text, a, t, report):
+    @pytest.mark.parametrize("text,a,t,cap", STREAMS)
+    def test_matches_per_index_rendering(self, text, a, t, cap, report):
         symbols = [int(tok) for tok in text.split()]
-        result = map_range(symbols, PatternConfig(a, t), Q13, 0, len(symbols) - 1)
+        kwargs = {} if cap is None else {"max_window": cap}
+        result = map_range(symbols, PatternConfig(a, t), Q13, 0, len(symbols) - 1, **kwargs)
         assert result.undetermined[0] == 0
+        if cap is not None:
+            # The two-range radius column is checked on blocks that start
+            # past their middle, and on blocks that do not.
+            blocks = result.blocks
+            past = [b.indices.start > (b.left_marker + b.right_extent) // 2 for b in blocks]
+            assert set(past) == {False, True}
         lines = []
         for i in sorted(result.outputs):
             if report:
@@ -187,6 +217,7 @@ class TestEncodeWriter:
             else:
                 lines.append(f"{result.outputs[i]}\n")
         argv = ["encode", "--a", str(a), "--q", "1/3,2/3", "--t", str(t)]
+        argv += [] if cap is None else ["--max-window", str(cap)]
         code, out, _ = run_cli(argv + ["--report"] * report, text)
         assert code == EXIT_OK
         assert out == "".join(lines)

@@ -15,6 +15,9 @@ FAIR = ProbabilityVector.parse("1/2,1/2")
 Q13 = ProbabilityVector.parse("1/3,2/3")
 Q14 = ProbabilityVector.parse("1/4,3/4")
 Q3 = ProbabilityVector.parse("1/5,1/3,7/15")
+FIFTHS = ProbabilityVector.parse("1/5,1/5,1/5,1/5,1/5")
+LOPSIDED = ProbabilityVector.parse("1/10,9/10")
+Q272 = ProbabilityVector.parse("2/7,3/7,2/7")
 
 
 def absolute(c):
@@ -98,7 +101,18 @@ class TestCursor:
 
     @pytest.mark.parametrize("horizon", [1, 30, 200])
     @pytest.mark.parametrize(
-        "text", ["1/2,1/2", "1/3,2/3", "1/4,1/4,1/2", "1/6,1/3,1/2", "3/4,1/8,1/8", "1"]
+        "text",
+        [
+            "1/2,1/2",
+            "1/3,2/3",
+            "1/4,1/4,1/2",
+            "1/6,1/3,1/2",
+            "3/4,1/8,1/8",
+            "1",
+            "1/5,1/5,1/5,1/5,1/5",
+            "1/10,9/10",
+            "2/7,3/7,2/7",
+        ],
     )
     def test_matches_reference_cursor(self, text, horizon):
         # The integer cursor against the Fraction one, after every bit.
@@ -182,14 +196,20 @@ class TestRead:
                 used += second.bits_consumed
             assert "".join(rest) == bits[used:]
 
-    @pytest.mark.parametrize("q", [FAIR, Q13, Q3], ids=["fair", "q13", "q3"])
+    @pytest.mark.parametrize(
+        "q",
+        [FAIR, Q13, Q3, FIFTHS, LOPSIDED, Q272],
+        ids=["fair", "q13", "q3", "fifths", "lopsided", "q272"],
+    )
     def test_runs_match_reference_cursor(self, q):
         # Random bit strings cut into random runs, empty runs and single
-        # bits among them, against the Fraction cursor fed bit by bit.
+        # bits among them, against the Fraction cursor fed bit by bit.  The
+        # last runs are at horizon 200: a run of many bits defers its
+        # doublings of the scale, and the left end crosses many cells.
         rng = random.Random(f"runs/{q.entries}")
-        for _ in range(300):
-            horizon = rng.randint(1, 12)
-            bits = [rng.getrandbits(1) for _ in range(rng.randint(0, 90))]
+        for trial in range(320):
+            horizon, most = (rng.randint(1, 12), 90) if trial < 300 else (200, 700)
+            bits = [rng.getrandbits(1) for _ in range(rng.randint(0, most))]
             ref, stop = FractionCursor(q, horizon), None
             for i, bit in enumerate(bits, 1):
                 ref.feed(bit)

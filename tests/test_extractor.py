@@ -229,6 +229,16 @@ class TestExtract:
         with pytest.raises(ValueError):
             invert(3, CFG23, ExtractionTriple("0", 99))
 
+    def test_invert_builds_the_terms_once(self, monkeypatch):
+        # The sub-block test needs the class size; the rank it gives is in
+        # the class, so the unrank does not build the terms again.
+        cfg = PatternConfig(3, 3)
+        word = (3, 1, 2, 2, 1, 3, 1)
+        trip = extract(word, cfg)
+        calls = _count_terms_calls(monkeypatch)
+        assert invert(len(word), cfg, trip) == word
+        assert calls[0] == 1
+
     def test_triple_validates_lengths(self):
         # The bit count is the length of the bits, so only their characters
         # and the class index can be wrong.
@@ -531,7 +541,9 @@ class TestEarlyStop:
             w = _with_runs_across_windows(rng, a, t, n)
             final = naive_rank_in_class(w, cfg)
             counts = count_vector(w, a)
-            seen = list(_term_walk(w, counts, _terms(counts, t), t))
+            terms = _terms(counts, t)
+            # The walk keeps ``terms`` current, so each span is read at its yield.
+            seen = [(rank, sum(terms)) for rank in _term_walk(w, counts, terms, t)]
             assert len(seen) == n + 1
             for rank, span in seen:
                 assert rank <= final <= rank + span - 1
@@ -553,8 +565,9 @@ class TestEarlyStop:
                     for i in range(n + 1):
                         last[w[:i]] = rank
                 for w in words:
-                    for i, (rank, span) in enumerate(_term_walk(w, m, _terms(m, t), t)):
-                        assert rank + span - 1 == last[w[:i]]
+                    terms = _terms(m, t)
+                    for i, rank in enumerate(_term_walk(w, m, terms, t)):
+                        assert rank + sum(terms) - 1 == last[w[:i]]
 
     def test_stops_a_few_symbols_in(self, monkeypatch):
         # The sub-block of a typical word is certain after a few symbols; a
