@@ -308,9 +308,13 @@ def tail_fit(samples: Sequence[int]) -> TailFit:
     Fits over the n with survival estimate >= 10/len(samples), starting at
     the smallest observed value (below it the survival function is
     identically 1 and carries no tail information).  Negative slope with
-    high R^2 is the signature of an exponential tail.
+    high R^2 is the signature of an exponential tail.  Raises ValueError on
+    a sample outside the int64 range.
     """
-    arr = np.asarray(samples, dtype=np.int64)
+    try:
+        arr = np.asarray(samples, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("samples must lie in the int64 range") from None
     if arr.size < 100:
         raise ValueError(f"need at least 100 samples, got {arr.size}")
     if arr.min() < 0:

@@ -2,7 +2,10 @@
 
 Wire format: symbol streams are whitespace-separated 1-based integers on
 stdin/stdout; stdout carries only data, diagnostics go to stderr.  Exit codes:
-0 success, 1 input error, 2 window exhausted, 3 verification failure.
+0 success, 1 input error, 2 window exhausted, 3 verification failure.  A
+reader that closes stdout early is not an error: the command stops writing
+and exits with nothing on stderr, with 0, or its own code if it had already
+finished.
 Reports are TAB-separated key/value lines.
 """
 
@@ -403,14 +406,28 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    code = EXIT_OK
     try:
-        return _COMMANDS[args.command](args, stdin, stdout)
+        code = _COMMANDS[args.command](args, stdin, stdout)
+        stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``encode ... | head -1``): not an
+        # input error.  As in Python's "Note on SIGPIPE", stdout's file
+        # becomes devnull, so the flush at exit writes nothing.
+        try:
+            fd = stdout.fileno()
+        except (AttributeError, OSError):
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
     except engine.WindowExhausted as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_WINDOW
     except (ValueError, OSError, RuntimeError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    return code
 
 
 def entry() -> None:

@@ -12,15 +12,20 @@ drifts into the blocks to its right.
 Lockstep simulators keep their offsets, so the rule is a stack, and the
 schedule runs as one left-to-right sweep over the bit positions: the latest
 started simulator that is still running reads each position.  One loop
-scans the markers, extracts each block once its closing marker has arrived
-and hands the block's bits to the sweep as one string of "0" and "1".  The
-simulators on the stack share one iterator over it: the one on top reads a
-run, up to its success or the end of the bits, in one cursor call, and the
-next one goes on from there, so a block costs O(e) however many simulators
-finish inside it.  ``encode_stream`` runs the loop over a whole stream
-read in chunks; ``map_range`` runs it over the window its indices can see,
-from the first block that holds one of them until the simulators of those
-blocks have finished.
+scans the markers and, once a block's closing marker has arrived, hands
+its bits to the sweep as a sized iterable of "0" and "1" (see
+``extractor._lazy_bits``).  The simulators on the stack share one iterator
+over it: the one on top reads a run, up to its success or the end of the
+bits, in one cursor call, and the next one goes on from there, so a block
+costs O(e) however many simulators finish inside it.  A wide block's bits
+are made as they are read, so its rank walk runs only as far as the last
+simulator over it reads; when the stack empties, ``_Sweep.feed`` returns
+and drops the paused walk, with its O(t) values, unfinished.
+
+``encode_stream`` runs the loop over a whole stream read in chunks;
+``map_range`` runs it over the window its indices can see, from the first
+block that holds one of them until the simulators of those blocks have
+finished.
 
 Every output index of a block shares the block's left marker, right extent
 and simulated word, so the loop yields one record per block, each once no
@@ -43,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import ProbabilityVector, SymbolError, SymbolWord, check_word
 from .dyadic import DyadicCursor
 # Callers validate the whole stream once, so block words skip the check.
-from .extractor import PatternConfig, _extract_bits
+from .extractor import PatternConfig, _LazyBits, _lazy_bits
 
 DEFAULT_MAX_WINDOW = 10**6
 
@@ -111,9 +116,13 @@ class _Sweep:
             return self.stack[0][0]
         return self.waiting[0][0] if self.waiting else None
 
-    def feed(self, k: int, length: int, bits: str) -> Iterator[tuple[int, DyadicCursor]]:
-        """Add block k, the next block, whose extracted bits are the string
-        ``bits``, and sweep them.
+    def feed(
+        self, k: int, length: int, bits: str | _LazyBits
+    ) -> Iterator[tuple[int, DyadicCursor]]:
+        """Add block k, the next block, whose extracted bits are ``bits``, and
+        sweep them.  Only ``len(bits)`` and one ``iter(bits)`` are used, so a
+        sized iterable of "0" and "1" that makes its bits as they are read
+        does as well as a string.
 
         Yields ``(simulator, cursor)`` each time a simulator succeeds.
         """
@@ -150,8 +159,9 @@ class _Sweep:
 @dataclass(frozen=True)
 class CodingReport:
     """Certificate that the output at ``index`` is a function of the input
-    symbols within ``[left_marker, right_extent]``; ``radius`` is the
-    certified window half-width max(index - left_marker, right_extent - index).
+    symbols within ``[left_marker, right_extent)``, the right end exclusive;
+    ``radius`` is the certified window half-width max(index - left_marker,
+    right_extent - index).
     """
 
     index: int
@@ -299,7 +309,7 @@ def _records(
                 if marker >= first:
                     word = tuple(buf[left + t - base : marker - base])
                     markers[nxt] = (left, marker)
-                    for k, cursor in sweep.feed(nxt, marker - left, _extract_bits(word, cfg)):
+                    for k, cursor in sweep.feed(nxt, marker - left, _lazy_bits(word, cfg)):
                         try:
                             record = output(k, tuple(cursor.emitted), marker + t)
                         except WindowExhausted:

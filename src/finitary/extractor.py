@@ -39,9 +39,21 @@ current in place, so with span their sum, the final rank lies in ``[rank,
 rank + span - 1]``.  A caller that needs only the bit count (``_bit_count``)
 sums them and stops as soon as that interval fits inside one power-of-two
 sub-block, which is usually a few symbols in; the callers that rank never
-sum them.  The window walk returns only the final rank, so on a word that
-takes it ``_bit_count`` tries t term-loop steps and then takes the full
-rank.
+sum them.  The window walk yields such an interval, ``(lo, span)``, at
+each checkpoint where its denominator is 1: the rank so far and the
+suffix's class size.  It yields the exact rank last, and its rank, unrank
+and bit callers all draw from that one loop.
+
+A wide word's bits are pulled from those checkpoints (``_LazyBits``): the
+bit count is known once the interval fits inside one sub-block, and each
+bit once both ends of the interval agree on it, since enumerative coding
+fixes the top of the rank from the prefix alone.  So the engine's sweep
+runs a block's walk only as far as its simulators read, and a paused walk
+holds O(t) values.  A narrow word is ranked by the term loop run to its
+end, one final checkpoint, and its bits are a plain string; ``_extract_bits``
+is the join of either.  On a wide word ``_bit_count`` tries t term-loop
+steps and then draws the window walk up to the checkpoint that settles the
+count.
 
 The inverse, ``unrank_in_class``, is the window walk given a target rank,
 for every word and every t.  At each position the window already holds
@@ -58,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator
 
 from .core import SymbolWord, check_word
@@ -247,8 +259,9 @@ def _window(top: int, s: int, c: int, k: int, big_m: int) -> list[int]:
 
 def _window_walk(
     word: SymbolWord | list[int], counts: tuple[int, ...], t: int, target: int = 0
-) -> tuple[int, int]:
-    """``(rank, class size)`` of a validated word, by the window walk.
+) -> Iterator[tuple[int, int]]:
+    """Checkpoints ``(lo, span)`` of a validated word's rank, by the window
+    walk: the rank lies in ``[lo, lo + span - 1]``.
 
     With s = t-1, a suffix with m_1 ones, c twos and k symbols other than 1
     has G(m_1) pattern-free orders, where G(n) = M f(n, c, k+1), M counts the
@@ -288,6 +301,13 @@ def _window_walk(
     rank are divided by D, and D is 1 again.  So one division by a wide D
     stands for many by small integers.
 
+    The checkpoints come where D is 1: ``(1, G(m_1))``, the class size, once
+    the window is seeded, then ``(rank, G(m_1))`` at each division, and the
+    exact ``(rank, 1)`` last.  Every part added to the rank counts class
+    words below the word, so the rank so far is a lower end, and the words
+    with the prefix walked so far number at most G(m_1) of the suffix left.
+    A caller stops drawing checkpoints once it has what it needs.
+
     The backward step to index N divides by cs - e - N and fails at
     N = cs - e, the singular index.  There it reads G(N) from a companion
     window ``h`` = G(N), ..., G(N+s), which never steps backward: a 2 lowers
@@ -319,7 +339,7 @@ def _window_walk(
     flush = _FLUSH_BITS
     big_m = _multinomial(counts[1:])
     g = _window(ones, s, c, k, big_m)
-    size = g[s]
+    yield 1, g[s]
     star = c * s - k - 1
     h = None
     j = -1  # ones after the last 2 while its run is open, else -1
@@ -416,7 +436,8 @@ def _window_walk(
                 big_m //= d
             rank += pending // d
             pending, d = 0, 1
-    return rank + pending // d, size
+            yield rank, g[s]
+    yield rank + pending // d, 1
 
 
 def _wide(counts: tuple[int, ...], t: int) -> bool:
@@ -440,10 +461,19 @@ def _counts(word: SymbolWord, cfg: PatternConfig) -> tuple[int, ...]:
 
 def _rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
     """``(rank, class size)`` of a validated word with count vector
-    ``counts``: by the window walk when ``_wide``, else by the term loop run
-    to its end."""
-    if _wide(counts, t):
-        return _window_walk(word, counts, t)
+    ``counts``: by the window walk drawn to its end when ``_wide``, else by
+    the term loop run to its end."""
+    if not _wide(counts, t):
+        return _term_rank(word, counts, t)
+    walk = _window_walk(word, counts, t)
+    size = next(walk)[1]
+    for rank, _ in walk:
+        pass
+    return rank, size
+
+
+def _term_rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
+    """``(rank, class size)`` by the term loop run to its end."""
     terms = _terms(counts, t)
     size = sum(terms)
     for rank in _term_walk(word, counts, terms, t):
@@ -475,7 +505,8 @@ def _unrank(m: tuple[int, ...], t: int, rank: int) -> SymbolWord:
     target rank.  A t = 1 class has no 2, so its words are every order of
     its symbols, as at t = 2."""
     word: list[int] = []
-    _window_walk(word, m, max(t, 2), rank)
+    for _ in _window_walk(word, m, max(t, 2), rank):
+        pass
     return tuple(word)
 
 
@@ -551,17 +582,72 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     return ExtractionTriple(_extract_bits(word, cfg, counts), class_index(counts))
 
 
+class _LazyBits:
+    """A wide word's extracted bits, made as they are read: a sized iterable
+    of "0" and "1" over the checkpoints of its window walk.
+
+    The length e is settled at the first checkpoint whose range ``[lo, lo +
+    span - 1]`` lies inside one power-of-two sub-block, the one that
+    ``_sub_block`` finds for ``lo``.  The offset then lies in ``[top - lo -
+    span + 1, top - lo]``, for the sub-block's top rank ``top``, and every
+    offset in that range shares the top bits on which its two ends agree.
+    So the iterator yields those bits and draws the next checkpoint only
+    when the reader asks for a bit past them: the walk runs only as far as
+    its bits are read.  It is drawn to its end, which checks the rest of the
+    word for the pattern, only when a reader asks for a bit past the last.
+    A paused walk holds its O(t) window values.  Iterate once.
+    """
+
+    __slots__ = ("_walk", "_at", "_top", "_e")
+
+    def __init__(self, walk: Iterator[tuple[int, int]]):
+        size = next(walk)[1]
+        for lo, span in chain([(1, size)], walk):
+            e, offset = _sub_block(size, lo)
+            if span <= offset + 1:
+                break
+        self._walk, self._at, self._top, self._e = walk, (lo, span), lo + offset, e
+
+    def __len__(self) -> int:
+        return self._e
+
+    def __iter__(self) -> Iterator[str]:
+        e, top = self._e, self._top
+        done = 0  # the bits yielded so far
+        for lo, span in chain([self._at], self._walk):
+            high = top - lo  # the largest offset left
+            settled = e - (high ^ (high - span + 1)).bit_length()
+            if settled > done:
+                yield from format(high >> (e - settled), f"0{settled}b")[done:]
+                done = settled
+
+
+def _lazy_bits(
+    word: SymbolWord, cfg: PatternConfig, counts: tuple[int, ...] | None = None
+) -> str | _LazyBits:
+    """The extracted bits of a validated word, as a sized iterable of "0"
+    and "1": the e binary digits of its offset, most significant first.
+    ``counts`` is the word's count vector, counted here when not given.
+
+    A ``_wide`` word's bits are a ``_LazyBits`` over its window walk, made
+    as they are read.  Any other word is ranked by the term loop run to its
+    end, one final checkpoint, and its bits are a string.
+    """
+    if counts is None:
+        counts = _counts(word, cfg)
+    t = cfg.marker_len
+    if _wide(counts, t):
+        return _LazyBits(_window_walk(word, counts, t))
+    rank, size = _term_rank(word, counts, t)
+    e, offset = _sub_block(size, rank)
+    return format(offset, f"0{e}b") if e else ""
+
+
 def _extract_bits(
     word: SymbolWord, cfg: PatternConfig, counts: tuple[int, ...] | None = None
 ) -> str:
-    """The extracted bits of a validated word, as a string of "0" and "1":
-    the e binary digits of its offset, most significant first.  ``counts``
-    is the word's count vector, counted here when not given."""
-    if counts is None:
-        counts = _counts(word, cfg)
-    rank, size = _rank(word, counts, cfg.marker_len)
-    e, offset = _sub_block(size, rank)
-    return format(offset, f"0{e}b") if e else ""
+    """All of ``_lazy_bits(word, cfg, counts)``, as one string."""
+    return "".join(_lazy_bits(word, cfg, counts))
 
 
 def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
@@ -572,8 +658,9 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     sub-block: the one ``_sub_block`` finds for the low
     end, when the interval ends no more than its offset above it.  On a
     word that is ``_wide``, each term-loop step costs a pass over many wide
-    terms, so after t unsettled steps the count comes from the window walk's
-    full rank instead.  Most words settle within t steps, so ``_wide`` is
+    terms, so after t unsettled steps the count comes from the window walk
+    instead, which stops at the checkpoint that settles it, as ``len`` of
+    ``_lazy_bits`` does.  Most words settle within t steps, so ``_wide`` is
     asked only after them.  The word must be validated and pattern-free: a
     pattern after the stop goes unnoticed.
     """
@@ -588,7 +675,7 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
             return e
         if not budget:
             if _wide(counts, t):
-                return _sub_block(size, _window_walk(word, counts, t)[0])[0]
+                return len(_LazyBits(_window_walk(word, counts, t)))
             budget = len(word)
         budget -= 1
 

@@ -311,6 +311,12 @@ class TestAnalyzeAndTails:
         code, _, err = run_cli(["tails"], " ".join(["3"] * 200))
         assert code == EXIT_INPUT and "degenerate" in err
 
+    @pytest.mark.parametrize("huge", ["99999999999999999999", "-99999999999999999999"])
+    def test_tails_sample_outside_int64(self, huge):
+        code, out, err = run_cli(["tails"], "1 2 " + huge)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: samples must lie in the int64 range\n"
+
 
 class TestRuntimeDependencies:
     # scipy is a test extra only: no command may need it at run time.
@@ -493,6 +499,39 @@ class TestEncodeStreaming:
             )
         assert from_file.returncode == EXIT_OK
         assert first + rest == from_file.stdout
+
+    def test_reader_closing_the_pipe_is_not_an_error(self, tmp_path):
+        # The encoder has about 4 MB of report lines to write and the pipe
+        # holds far less, so it is still writing when the reader closes the
+        # pipe after one line: exit 0, nothing on stderr.
+        path = tmp_path / "stream.txt"
+        path.write_text(make_stream(13, 300_000, 3))
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3", "--report"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        with path.open() as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "finitary.cli", *argv],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            try:
+                first = proc.stdout.readline()
+            finally:
+                proc.stdout.close()
+                err = proc.stderr.read()
+                proc.wait(timeout=300)
+        assert first.count(b"\t") == 2
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+
+    def test_broken_stdout_without_a_file(self):
+        # A stream with no file descriptor is left as it is.
+        class Gone(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3"]
+        code = main(argv, stdin=io.StringIO(make_stream(5, 3000, 3)), stdout=Gone(), stderr=err)
+        assert (code, err.getvalue()) == (EXIT_OK, "")
 
     def test_real_pipe(self):
         # More than one read of stdin, through an operating-system pipe.

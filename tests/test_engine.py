@@ -357,18 +357,49 @@ class TestMapRange:
         cfg, n = PatternConfig(3, 3), len(stream)
         i = scan_markers(stream, cfg)[10] + 1
         full = map_range(stream, cfg, FAIR, 0, n - 1)
-        extract, calls = finitary.engine._extract_bits, 0
+        extract, calls = finitary.engine._lazy_bits, 0
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return extract(*args)
 
-        monkeypatch.setattr(finitary.engine, "_extract_bits", counted)
+        monkeypatch.setattr(finitary.engine, "_lazy_bits", counted)
         res = map_range(stream, cfg, FAIR, i, i)
         assert 1 <= calls < 10
         assert i in full.reports and res.reports == {i: full.reports[i]}
         assert res.undetermined == []
+
+
+class TestPulledBits:
+    def test_wide_block_walk_stops_with_its_reader(self, monkeypatch):
+        # One wide block of 600 symbols has 899 bits, and its simulator
+        # succeeds after 608 of them.  No simulator is left to read the rest,
+        # so the sweep returns and the block's window walk is never drawn to
+        # its end.  The outputs are the naive transcription's all the same.
+        import finitary.extractor as extractor
+
+        cfg = PatternConfig(3, 3)
+        word = (2, 1, 3) * 200
+        stream = [2, 1, 1, *word, 2, 1, 1, 3, 3, 1]
+        counts = (200, 200, 200)
+        assert extractor._wide(counts, 3)
+        full = len(list(extractor._window_walk(word, counts, 3)))
+        drawn, walk = [0], extractor._window_walk
+
+        def counting(*args):
+            for checkpoint in walk(*args):
+                drawn[0] += 1
+                yield checkpoint
+
+        monkeypatch.setattr(extractor, "_window_walk", counting)
+        res = map_range(stream, cfg, FAIR, 0, len(stream) - 1)
+        assert 0 < drawn[0] < full
+        assert res.outputs == naive_map(stream, 3, 3, FAIR)
+        assert len(res.outputs) == len(word) + 3
+        drawn[0] = 0
+        records = list(encode_stream([stream[:300], stream[300:]], cfg, FAIR))
+        assert 0 < drawn[0] < full and records == res.blocks
 
 
 class TestWindowCap:

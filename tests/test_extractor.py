@@ -1,12 +1,13 @@
 import itertools
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finitary import extractor
 from finitary.engine import scan_markers
@@ -14,6 +15,7 @@ from finitary.extractor import (
     ExtractionTriple,
     PatternConfig,
     _bit_count,
+    _lazy_bits,
     _sub_block,
     _term_walk,
     _terms,
@@ -489,8 +491,8 @@ def _with_runs_across_windows(rng, a, t, n):
 
 class TestEarlyStop:
     """``_bit_count`` stops the term loop once the rank's sub-block is
-    certain, and falls back on the full rank after t steps on a word that
-    the dispatch sends to the window walk."""
+    certain, and falls back on the window walk after t steps on a word that
+    the dispatch sends to it."""
 
     @pytest.mark.parametrize("wide", [None, 1])
     @pytest.mark.parametrize("a", [2, 3, 4])
@@ -498,7 +500,7 @@ class TestEarlyStop:
         # The expected count comes from the lexicographic position alone.
         # With wide=1 the dispatch sends every word with more than t terms to
         # the window walk, so ``_bit_count`` falls back on the window walk's
-        # rank for the words it has not settled in t steps.  ``extract``'s
+        # checkpoints for the words it has not settled in t steps.  ``extract``'s
         # count comes from each walk in turn.
         if wide is not None:
             monkeypatch.setattr(extractor, "_WIDE_BITS", wide)
@@ -572,7 +574,7 @@ class TestEarlyStop:
     def test_stops_a_few_symbols_in(self, monkeypatch):
         # The sub-block of a typical word is certain after a few symbols; a
         # walk that could only stop at the end would draw every symbol, and
-        # so does a fallback on the full rank.
+        # a fallback on the window walk counts as drawing every symbol too.
         drawn = [0]
 
         def counting(*args):
@@ -740,7 +742,9 @@ class TestWindowWalk:
             for w, cfg, rank, size in cases:
                 assert rank_in_class(w, cfg) == rank
                 counts = count_vector(w, cfg.alphabet_size)
-                assert _window_walk(w, counts, cfg.marker_len) == (rank, size)
+                checkpoints = list(_window_walk(w, counts, cfg.marker_len))
+                assert checkpoints[0] == (1, size) and checkpoints[-1] == (rank, 1)
+                assert all(lo <= rank < lo + span for lo, span in checkpoints)
 
     def test_random_words_against_the_term_loop(self):
         rng = random.Random(11)
@@ -749,7 +753,7 @@ class TestWindowWalk:
             w = _random_free_word(rng, a, t, rng.randrange(601))
             assert len(set(_rank_by_each_walk(w, PatternConfig(a, t)))) == 1
             counts = count_vector(w, a)
-            assert _window_walk(w, counts, t)[1] == sum(_terms(counts, t))
+            assert next(_window_walk(w, counts, t)) == (1, sum(_terms(counts, t)))
 
     @pytest.mark.parametrize("t", [2, 3, 4, 6])
     def test_families_on_the_singular_index(self, t):
@@ -871,6 +875,95 @@ class TestWindowWalk:
             assert not extractor._wide(count_vector(w, 3), 1)
             with pytest.raises(ValueError, match="marker pattern"):
                 extract(w, cfg)
+
+
+def _counting_walk(monkeypatch):
+    """Wrap ``extractor._window_walk`` so that it counts the checkpoints
+    drawn from it; returns the count's one-item list."""
+    drawn, walk = [0], extractor._window_walk
+
+    def counting(*args):
+        for checkpoint in walk(*args):
+            drawn[0] += 1
+            yield checkpoint
+
+    monkeypatch.setattr(extractor, "_window_walk", counting)
+    return drawn
+
+
+@st.composite
+def _lazy_cases(draw):
+    """A hostile family at t = 3, ``(2 1 3)^L`` or ``(1 1)(3 2)^L``, or a
+    random t = 6 word, with a width at which the window walk divides."""
+    kind = draw(st.sampled_from(["213", "11(32)", "t6"]))
+    if kind == "t6":
+        seed, n = draw(st.integers(0, 10**6)), draw(st.integers(0, 900))
+        word, t = _random_free_word(random.Random(seed), 3, 6, n), 6
+    else:
+        L = draw(st.integers(1, 150))
+        word, t = ((2, 1, 3) * L if kind == "213" else (1, 1) + (3, 2) * L), 3
+    return word, t, draw(st.sampled_from((*_FLUSHES, 64)))
+
+
+class TestLazyBits:
+    """A wide word's bits, made as they are read, against the term loop's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_lazy_cases())
+    def test_each_bit_draws_only_the_checkpoints_it_needs(self, case):
+        # ``len`` is e before any bit is read, and the first r bits are the
+        # term loop's for every r.  Reading them draws the window walk up to
+        # the first checkpoint that settles both the sub-block and the r-th
+        # bit, and a read past the last bit draws the rest.
+        word, t, flush = case
+        cfg = PatternConfig(3, t)
+        counts = count_vector(word, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extractor, "_wide", _never_wide)
+            expected = extract(word, cfg).bits
+        assert extract(word, cfg).bits == extractor._extract_bits(word, cfg) == expected
+        assert isinstance(_lazy_bits(word, cfg), str) != extractor._wide(counts, t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extractor, "_FLUSH_BITS", flush)
+            mp.setattr(extractor, "_wide", _always_wide)
+            checkpoints = list(_window_walk(word, counts, t))
+            size, rank = checkpoints[0][1], checkpoints[-1][0]
+            e, offset = _sub_block(size, rank)
+            top = rank + offset
+            settle = next(
+                i
+                for i, (lo, span) in enumerate(checkpoints)
+                if top - (1 << e) < lo and lo + span - 1 <= top
+            )
+            # The top bits on which the ends of each settled range agree.
+            ends = [(top - lo - span + 1, top - lo) for lo, span in checkpoints[settle:]]
+            known = [
+                len(os.path.commonprefix([format(low, f"0{e}b"), format(high, f"0{e}b")]))
+                if e
+                else 0
+                for low, high in ends
+            ]
+            drawn = _counting_walk(mp)
+            bits = _lazy_bits(word, cfg)
+            assert len(bits) == e == len(expected) and drawn[0] == settle + 1
+            reader, need = iter(bits), 0
+            for r in range(1, e + 1):
+                assert next(reader) == expected[r - 1]
+                while known[need] < r:
+                    need += 1
+                assert drawn[0] == settle + need + 1
+            assert next(reader, None) is None
+            assert drawn[0] == len(checkpoints)
+
+    def test_pattern_in_a_wide_word_is_found_when_every_bit_is_read(self):
+        # The length settles long before the pattern at the word's end, but
+        # ``extract`` reads past the last bit, which draws the whole walk.
+        cfg = PatternConfig(3, 3)
+        word = (2, 1, 3) * 300 + (2, 1, 1)
+        assert extractor._wide(count_vector(word, 3), 3)
+        assert len(_lazy_bits(word, cfg)) > 0
+        with pytest.raises(ValueError, match="marker pattern"):
+            extract(word, cfg)
 
 
 def test_window_walk_memory_is_bounded():
