@@ -36,6 +36,8 @@ _MAX_MARKER_LEN = 512
 # sample_blocks refuses a first draw of more symbols than this; a long
 # marker's mean block would otherwise ask for more memory than there is.
 _MAX_DRAW = 1 << 26
+# tail_fit refuses to fit over more integers than this.
+_MAX_TAIL_SPAN = 1 << 22
 
 
 def expected_block_length(p: ProbabilityVector, t: int) -> Fraction:
@@ -307,9 +309,11 @@ def tail_fit(samples: Sequence[int]) -> TailFit:
 
     Fits over the n with survival estimate >= 10/len(samples), starting at
     the smallest observed value (below it the survival function is
-    identically 1 and carries no tail information).  Negative slope with
-    high R^2 is the signature of an exponential tail.  Raises ValueError on
-    a sample outside the int64 range.
+    identically 1 and carries no tail information).  Those n run up to the
+    tenth-largest sample, so samples above it do not widen the fit.
+    Negative slope with high R^2 is the signature of an exponential tail.
+    Raises ValueError on a sample outside the int64 range, and when the fit
+    would span more than ``_MAX_TAIL_SPAN`` (2^22) integers.
     """
     try:
         arr = np.asarray(samples, dtype=np.int64)
@@ -322,11 +326,15 @@ def tail_fit(samples: Sequence[int]) -> TailFit:
     if arr.min() == arr.max():
         raise ValueError("degenerate (constant) samples")
     n = arr.size
-    xs = np.arange(int(arr.min()), int(arr.max()) + 1)
     srt = np.sort(arr)
+    # At least ten samples are >= x exactly for x up to the tenth-largest.
+    lo, hi = int(srt[0]), int(srt[-10])
+    if hi - lo >= _MAX_TAIL_SPAN:
+        raise ValueError(
+            f"the fit over samples {lo}..{hi} would span more than {_MAX_TAIL_SPAN} integers"
+        )
+    xs = np.arange(lo, hi + 1)
     survival = (n - np.searchsorted(srt, xs, side="left")) / n
-    keep = survival >= 10.0 / n
-    xs, survival = xs[keep], survival[keep]
     if xs.size < 3:
         raise ValueError("degenerate tail: too few usable survival points")
     ys = np.log(survival)

@@ -78,7 +78,6 @@ class DyadicCursor:
     """
 
     __slots__ = (
-        "target",
         "horizon",
         "bits_consumed",
         "emitted",
@@ -92,7 +91,6 @@ class DyadicCursor:
     def __init__(self, target: ProbabilityVector, horizon: int):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        self.target = target
         self.horizon = horizon
         self.bits_consumed = 0
         self.emitted: list[int] = []

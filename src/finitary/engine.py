@@ -28,9 +28,10 @@ block that holds one of them until the simulators of those blocks have
 finished.
 
 Every output index of a block shares the block's left marker, right extent
-and simulated word, so the loop yields one record per block, each once no
-lower simulator is still running.  ``map_range``'s per-index outputs and
-reports are views of the records, built on first access.
+and simulated word, so the loop yields one record per block, each once the
+sweep's stack, the one record of every unfinished block, is empty.
+``map_range``'s per-index outputs and reports are views of the records,
+built on first access.
 
 The transform never sees the law that generated the input, only the stream
 itself, so identical streams give identical outputs no matter their origin.
@@ -42,7 +43,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .core import ProbabilityVector, SymbolError, SymbolWord, check_word
@@ -88,14 +88,15 @@ class _Sweep:
     """The schedule's stack sweep, fed one block at a time.
 
     Each block's bits take the next flat positions.  Its simulator is pushed
-    at the first of them (a block without bits waits for the next block that
-    has some), and the simulator on top of the stack reads each position.
-    This is the lockstep rule, since lockstep simulators never change their
-    offsets: position p is reached first by the running simulator with the
-    largest start <= p (the larger index on a tie), which is the top.  So
-    the top reads a whole run of positions in one cursor call, up to its
-    success or the end of the block's bits, from an iterator over the
-    block's bits that the simulators below it go on reading.
+    at once, at the first of them (a block without bits starts where the
+    next block's bits do), and the simulator on top of the stack reads each
+    position.  This is the lockstep rule, since lockstep simulators never
+    change their offsets: position p is reached first by the running
+    simulator with the largest start <= p (the larger index on a tie), which
+    is the top.  So the top reads a whole run of positions in one cursor
+    call, up to its success or the end of the block's bits, from an iterator
+    over the block's bits that the simulators below it go on reading.  The
+    stack is the one record of every unfinished block, in index order.
 
     Every run is checked against the last position read and the reading
     simulator's own last read, which is O(1) state per simulator: no
@@ -107,51 +108,41 @@ class _Sweep:
         self.q = q
         self.pos = 0  # the next flat position
         self.last = -1  # the last position read
-        self.stack: list[list] = []  # [index, cursor, last read]
-        self.waiting: list[tuple[int, int]] = []  # blocks whose bits have not started
-
-    def lowest(self) -> int | None:
-        """The lowest simulator still running or waiting to start."""
-        if self.stack:
-            return self.stack[0][0]
-        return self.waiting[0][0] if self.waiting else None
+        self.stack: list[list] = []  # [(index, left, right), cursor, last read]
 
     def feed(
-        self, k: int, length: int, bits: str | _LazyBits
-    ) -> Iterator[tuple[int, DyadicCursor]]:
-        """Add block k, the next block, whose extracted bits are ``bits``, and
-        sweep them.  Only ``len(bits)`` and one ``iter(bits)`` are used, so a
-        sized iterable of "0" and "1" that makes its bits as they are read
-        does as well as a string.
+        self, k: int, left: int, right: int, bits: str | _LazyBits
+    ) -> Iterator[tuple[tuple[int, int, int], DyadicCursor]]:
+        """Push block k, the next block, between the markers at ``left`` and
+        ``right``, whose extracted bits are ``bits``, and sweep them.  Only
+        ``len(bits)`` and one ``iter(bits)`` are used, so a sized iterable of
+        "0" and "1" that makes its bits as they are read does as well as a
+        string.
 
-        Yields ``(simulator, cursor)`` each time a simulator succeeds.
+        Yields ``((index, left, right), cursor)`` each time a simulator
+        succeeds.
         """
-        self.waiting.append((k, length))
-        if not bits:
-            return
         stack, p = self.stack, self.pos
-        for j, n in self.waiting:
-            stack.append([j, DyadicCursor(self.q, n), -1])
-        self.waiting.clear()
+        stack.append([(k, left, right), DyadicCursor(self.q, right - left), -1])
         end = self.pos = p + len(bits)
         last = self.last
-        k, cursor, prev = stack[-1]
+        block, cursor, prev = stack[-1]
         rest = iter(bits)
         while p < end:
             if p <= last:
-                raise InvariantViolation(f"position {p} consumed twice (simulator {k})")
+                raise InvariantViolation(f"position {p} consumed twice (simulator {block[0]})")
             if p <= prev:
-                raise InvariantViolation(f"simulator {k} read out of order")
+                raise InvariantViolation(f"simulator {block[0]} read out of order")
             p += cursor.read(rest)
             last = prev = p - 1
             if not cursor.successful:
                 break
             stack.pop()
             self.last = last
-            yield k, cursor
+            yield block, cursor
             if not stack:
                 return
-            k, cursor, prev = stack[-1]
+            block, cursor, prev = stack[-1]
         stack[-1][2] = prev
         self.last = last
 
@@ -239,10 +230,13 @@ def _records(
     Markers are scanned, blocks extracted and their bits swept as the
     symbols arrive.  A block whose closing marker lies before ``first`` is
     skipped: no simulator reads to its left, so the ones to its right run as
-    they would in the whole stream.  Block k's record is final, and yielded,
-    once no simulator with index <= k is still running.  The loop returns
-    once the open block starts at or past ``last`` and every simulator of a
-    block holding an index <= ``last`` has finished.
+    they would in the whole stream.  Block k's record is final once no
+    simulator with index <= k is still running.  The bottom of the sweep's
+    stack is the lowest running block and pops last, and every block that
+    finishes before it has a higher index.  So the finished records are
+    held until the stack empties, and then yielded in block order.  The
+    loop returns once the open block starts at or past ``last`` and every
+    simulator of a block holding an index <= ``last`` has finished.
 
     Each block's indices are clipped to ``first..last`` and then capped:
     index i may look at most ``max_window`` symbols past itself.  An index
@@ -253,27 +247,30 @@ def _records(
     That is checked as soon as the input passes the cap of the lowest
     running block, which has the lowest cap of all.
 
-    The state kept is the running simulators and their blocks' markers, the
-    finished records that wait for a lower simulator, and the symbols of the
-    block not yet closed.  The lowest running simulator can run only until
-    the input passes its cap, so all of it but the open block lies within
-    ``max_window`` symbols of that simulator's block.
+    The state kept is the sweep's stack, whose entries carry the running
+    blocks and their markers, the finished records that wait for it to
+    empty, and the symbols of the block not yet closed.  The lowest running
+    simulator can run only until the input passes its cap, so all of it but
+    the open block lies within ``max_window`` symbols of that simulator's
+    block.
     """
     t = cfg.marker_len
     cap = max_window + 1  # index i sees the symbols before i + cap
     sweep = _Sweep(q)
-    markers: dict[int, tuple[int, int]] = {}  # running block -> its two markers
-    finished: list[tuple[int, BlockOutput]] = []  # heap of records not yet yielded
+    finished: list[BlockOutput] = []  # records that wait for the stack to empty
     buf: list[int] = []  # the symbols from ``base`` on
     base = received = 0
     left = None  # the marker that opens the block not yet closed
     nxt = 0  # index of the next block to close
 
-    def output(k: int, word: SymbolWord | None = None, right: int = 0) -> BlockOutput | None:
-        # Block k's record, or None if none of its indices is determined.
-        # ``word`` is its simulated word, None while the simulator runs, and
-        # ``right`` the end of the marker closing the last block it read.
-        left_k, marker = markers[k]
+    def output(
+        block: tuple[int, int, int], word: SymbolWord | None = None, right: int = 0
+    ) -> BlockOutput | None:
+        # The record of ``block``, or None if none of its indices is
+        # determined.  ``word`` is its simulated word, None while the
+        # simulator runs, and ``right`` the end of the marker closing the
+        # last block it read.
+        k, left_k, marker = block
         lo, hi = max(first, left_k + 1), min(last, marker)
         # Indices from ``seen`` on see block k's right marker, and those from
         # ``start`` on see everything its simulator read.
@@ -290,14 +287,13 @@ def _records(
         return BlockOutput(k, left_k, right, range(start, hi + 1), symbols)
 
     def check_running() -> None:
-        k = sweep.lowest()
-        if k is not None:
-            output(k)
+        if sweep.stack:
+            output(sweep.stack[0][0])
 
-    def ready(lowest: int | None) -> Iterator[BlockOutput]:
-        # Records below the lowest running simulator are final.
-        while finished and (lowest is None or finished[0][0] < lowest):
-            yield heappop(finished)[1]
+    def release() -> Iterator[BlockOutput]:
+        finished.sort(key=lambda record: record.block)
+        yield from finished
+        finished.clear()
 
     for symbols in chunks:
         scan_from = max(received - t + 1, 0)  # where a marker may start unseen
@@ -308,30 +304,27 @@ def _records(
             if left is not None:
                 if marker >= first:
                     word = tuple(buf[left + t - base : marker - base])
-                    markers[nxt] = (left, marker)
-                    for k, cursor in sweep.feed(nxt, marker - left, _lazy_bits(word, cfg)):
+                    for block, cursor in sweep.feed(nxt, left, marker, _lazy_bits(word, cfg)):
                         try:
-                            record = output(k, tuple(cursor.emitted), marker + t)
+                            record = output(block, tuple(cursor.emitted), marker + t)
                         except WindowExhausted:
                             check_running()  # a lower block ran past its cap first
                             raise
-                        del markers[k]
                         if record:
-                            heappush(finished, (k, record))
-                    yield from ready(sweep.lowest())
+                            finished.append(record)
+                    if not sweep.stack:
+                        yield from release()
                 nxt += 1
             left = marker
-            if left >= last:
-                k = sweep.lowest()
-                if k is None or markers[k][0] >= last:
-                    return  # every record in range has been yielded
+            if left >= last and (not sweep.stack or sweep.stack[0][0][1] >= last):
+                return  # every record in range has been yielded
         check_running()
         cut = max(received - t + 1, 0) if left is None else min(left + t, received - t + 1)
         del buf[: cut - base]
         base = cut
     check_running()
     # Every simulator still running has run off the input.
-    yield from ready(None)
+    yield from release()
 
 
 def map_range(

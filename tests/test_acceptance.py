@@ -248,10 +248,10 @@ def test_criterion_10_schedule_invariants(engine_run):
         assert result.outputs  # the big run completed with checks enabled
         # A sweep rewound to its first position reads that position again.
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 40, "011")) == []
+        assert list(sweep.feed(0, 0, 40, "011")) == []
         sweep.pos = 0
         with pytest.raises(InvariantViolation, match="consumed twice"):
-            list(sweep.feed(1, 40, "0"))
+            list(sweep.feed(1, 40, 80, "0"))
 
 
 def test_criterion_11_block_length_statistics():

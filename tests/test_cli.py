@@ -317,6 +317,23 @@ class TestAnalyzeAndTails:
         assert (code, out) == (EXIT_INPUT, "")
         assert err == "error: samples must lie in the int64 range\n"
 
+    @pytest.mark.parametrize(
+        "outliers,message",
+        [
+            # The fit stops at the tenth-largest sample, 2, so one outlier
+            # does not widen it, and [1, 2] is too short to fit.
+            (["1000000000000000000"], "degenerate tail"),
+            # Ten outliers move the tenth-largest sample up to them.
+            ([str(10**17 + i) for i in range(10)], "would span more than 4194304 integers"),
+        ],
+        ids=["one", "ten"],
+    )
+    def test_tails_outliers(self, outliers, message):
+        code, out, err = run_cli(["tails"], " ".join(["1", "2"] * 50 + outliers))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestRuntimeDependencies:
     # scipy is a test extra only: no command may need it at run time.

@@ -76,19 +76,20 @@ class TestScanMarkers:
 class TestSweep:
     def test_single_block_self_sufficient(self):
         sweep = _Sweep(FAIR)
-        [(k, cursor)] = sweep.feed(0, 2, "0010")
-        assert (k, cursor.emitted, cursor.bits_consumed) == (0, [1, 1], 4)
-        assert (sweep.pos, sweep.last, sweep.lowest()) == (4, 3, None)
+        [(block, cursor)] = sweep.feed(0, 0, 2, "0010")
+        assert (block, cursor.emitted, cursor.bits_consumed) == ((0, 0, 2), [1, 1], 4)
+        assert (sweep.pos, sweep.last, sweep.stack) == (4, 3, [])
 
     def test_queue_up_priority_to_rightmost(self):
         # Blocks 0 and 1 have no bits, so all three simulators start at
         # block 2's first bit, and the rightmost reads both of its bits.
         sweep = _Sweep(FAIR)
         for k, e in enumerate([0, 0, 2]):
-            assert list(sweep.feed(k, 2, "0" * e)) == []
-        assert [(k, prev) for k, _, prev in sweep.stack] == [(0, -1), (1, -1), (2, 1)]
+            assert list(sweep.feed(k, 2 * k, 2 * k + 2, "0" * e)) == []
+        assert [(block, prev) for block, _, prev in sweep.stack] == [
+            ((0, 0, 2), -1), ((1, 2, 4), -1), ((2, 4, 6), 1)
+        ]
         assert [c.bits_consumed for _, c, _ in sweep.stack] == [0, 0, 2]
-        assert sweep.lowest() == 0
 
     @staticmethod
     def empty_blocks_then_word(empty, size, seed):
@@ -174,7 +175,7 @@ class TestBitAccounting:
         sweep = _Sweep(q)
         for b in blocks:
             count, e = 0, b.bit_count
-            list(sweep.feed(b.index, b.length, "".join(map(str, b.bits))))
+            list(sweep.feed(b.index, b.left_marker, b.right_marker, "".join(map(str, b.bits))))
             if e:
                 # Every block with bits is read from its first position on.
                 unread = sweep.pos - 1 - sweep.last
@@ -648,33 +649,42 @@ class TestEncodeStream:
 
     def test_state_does_not_grow_with_the_stream(self):
         # 100k symbols in chunks of 2,500: the symbols kept are the chunk
-        # and the open block, and few blocks are ever running at once.
+        # and the open block, and few blocks are ever running at once.  A
+        # record leaves only when no simulator is running, so before the
+        # input ends the stack is empty whenever one is yielded.
         rng = np.random.Generator(np.random.PCG64(11))
+        kept, depth, ended = [], [], False
+
+        def measure():
+            state = stream.gi_frame.f_locals
+            kept.append(len(state["buf"]))
+            depth.append(len(state["sweep"].stack))
 
         def chunks():
+            nonlocal ended
             for _ in range(40):
+                measure()
                 yield [int(v) for v in rng.integers(1, 4, size=2500)]
+            ended = True
 
         stream = encode_stream(chunks(), PatternConfig(3, 3), FAIR)
-        kept = running = 0
         for _ in stream:
-            state = stream.gi_frame.f_locals
-            kept = max(kept, len(state["buf"]))
-            running = max(running, len(state["markers"]))
-        assert kept < 2500 + 400 and running < 200
+            measure()
+            assert ended or depth[-1] == 0
+        assert max(kept) < 2500 + 400 and 0 < max(depth) < 200
 
     def test_sweep_checks_every_read(self):
         # Rewinding the sweep makes the next read a second read of a
         # position; rewinding it further, past what the simulator below
         # the new one has read, makes that simulator read out of order.
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 40, "011")) == []
+        assert list(sweep.feed(0, 0, 40, "011")) == []
         sweep.pos = 0
         with pytest.raises(InvariantViolation, match="consumed twice"):
-            list(sweep.feed(1, 40, "0"))
+            list(sweep.feed(1, 40, 80, "0"))
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 40, "00000")) == []
+        assert list(sweep.feed(0, 0, 40, "00000")) == []
         sweep.pos, sweep.last = 0, -1
         with pytest.raises(InvariantViolation, match="simulator 0 read out of order"):
             # Simulator 1 draws its one symbol from 0, 1, 0 and pops.
-            list(sweep.feed(1, 1, "0100"))
+            list(sweep.feed(1, 40, 41, "0100"))
