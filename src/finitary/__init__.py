@@ -11,7 +11,6 @@ selection and certification with the statistics the CLI reports
 from .core import (
     ProbabilityVector,
     SymbolWord,
-    cumulative,
     entropy,
     parse_rational,
 )

@@ -6,7 +6,8 @@ the generator is numpy's PCG64 (128-bit state), and every report carries the
 seed it was produced with.  Exact routines use rational arithmetic end to
 end.  verify_simu1 computes the stopping-time survival by a route that
 shares no code with the tree-pruning analyzer in :mod:`finitary.dyadic`: it
-locates each cumulative point among the level-k dyadic intervals directly.
+locates each cumulative point among the level-k dyadic intervals directly,
+reading the target's integer cumulative sums ``C_j/Q`` as the cursor does.
 Both return a ``dyadic.TailReport``, which derives the bounds and the mean
 enclosure from the survival, so the acceptance criteria compare the two
 survivals and recompute the bounds by hand.
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProbabilityVector, cumulative, entropy
+from .core import ProbabilityVector, entropy
 from .dyadic import TailReport
 from .engine import scan_markers
 # Sampled words are in-range ints that lie between markers, so they are
@@ -352,24 +353,25 @@ def verify_simu1(q: ProbabilityVector, kmax: int) -> TailReport:
 
     For each depth k, an interval of the level-k dyadic grid stays undecided
     iff its closure contains a cumulative point; each point lands in one
-    interval, or two when it sits exactly on the grid.  No tree traversal:
-    the survival comes by an independent route from dyadic.exact_tail, and
-    only the report built from it, with its derived bounds and mean
-    enclosure, is shared.
+    interval, or two when it sits exactly on the grid.  The point C_j/Q
+    lies in interval ``(C_j * 2^k) // Q``, on the grid iff the division is
+    exact.  No tree traversal: the survival comes by an independent route
+    from dyadic.exact_tail, and only the report built from it, with its
+    derived bounds and mean enclosure, is shared.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    cum = cumulative(q)
+    cum, den = q.scaled_cumulative
     survival: list[Fraction] = []
     for k in range(kmax + 1):
         cells: set[int] = set()
-        for value in cum:
-            if value == 0:
+        for c in cum:
+            if c == 0:
                 cells.add(0)
-            elif value == 1:
+            elif c == den:
                 cells.add((1 << k) - 1)
             else:
-                cell, rem = divmod(value.numerator << k, value.denominator)
+                cell, rem = divmod(c << k, den)
                 cells.add(cell)
                 if rem == 0:
                     cells.add(cell - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
 SymbolWord = tuple[int, ...]
 
@@ -82,16 +82,15 @@ class ProbabilityVector:
             raise ValueError(f"symbol {symbol} outside 1..{len(self.entries)}")
         return self.entries[symbol - 1]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
-
     @cached_property
     def scaled_cumulative(self) -> tuple[tuple[int, ...], int]:
         """``(C, Q)``: the cumulative sums are ``C[j]/Q`` with ``Q`` the
-        common denominator of the entries; computed once per vector."""
+        common denominator of the entries; computed once per vector.
+
+        This is the one form of the cumulative sums: the cursor, the sampler
+        and the exact analyzers all read it.  ``C_0 = 0 < C_1 < ... < C_b =
+        Q``, strictly increasing because every entry is positive.
+        """
         den = math.lcm(*(v.denominator for v in self.entries))
         scaled = (v.numerator * (den // v.denominator) for v in self.entries)
         return tuple(accumulate(scaled, initial=0)), den
@@ -100,17 +99,6 @@ class ProbabilityVector:
 def entropy(p: ProbabilityVector) -> float:
     """Entropy of ``p`` in nats; floating point, for calibration only."""
     return -sum(float(v) * math.log(float(v)) for v in p.entries)
-
-
-def cumulative(p: ProbabilityVector) -> list[Fraction]:
-    """Exact cumulative sums ``[0, p(1), p(1)+p(2), ..., 1]``.
-
-    Strictly increasing because every entry is positive.
-    """
-    out = [Fraction(0)]
-    for v in p.entries:
-        out.append(out[-1] + v)
-    return out
 
 
 class SymbolError(ValueError):

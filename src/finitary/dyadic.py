@@ -21,7 +21,10 @@ success monotone under extension of the bit string.
 
 Also provides exact analyzers of the stopping-time law: per-depth survival
 probabilities, a rigorous enclosure of the expected stopping time, and the
-per-symbol decided mass, all in exact rational arithmetic.
+per-symbol decided mass.  They refine the same integer cells as the cursor,
+level by level over every undecided dyadic interval at once, and decide a
+symbol by the cursor's strict rule, so a tie never decides there either;
+only the counts they return become Fractions.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import ProbabilityVector, cumulative, entropy
+from .core import ProbabilityVector, entropy
 
 
 class InsufficientBitsError(ValueError):
@@ -217,7 +220,9 @@ class TailReport:
 
     @property
     def dyadic_interior(self) -> bool:
-        return any(v.denominator & (v.denominator - 1) == 0 for v in cumulative(self.target)[1:-1])
+        # C_j/Q is dyadic iff its reduced denominator is a power of two.
+        cum, den = self.target.scaled_cumulative
+        return any((den // gcd(c, den)).bit_count() == 1 for c in cum[1:-1])
 
     @property
     def entropy_bound(self) -> float:
@@ -228,27 +233,32 @@ class TailReport:
         return float(self.mean_hi) <= self.entropy_bound + 1e-9
 
 
-def _undecided_children(
-    cum: list[Fraction], nodes: list[tuple[int, int]], law: dict[int, Fraction] | None
-) -> list[tuple[int, int]]:
-    """Split one level of undecided dyadic intervals, pruning decided children.
+def _levels(q: ProbabilityVector, depth: int) -> Iterator[tuple[int, list[int]]]:
+    """Refine every undecided dyadic interval, one level per bit.
 
-    Nodes are ``(numerator, level)`` pairs for the interval
-    ``[num/2^level, (num+1)/2^level]``.  When ``law`` is given, the measure of
-    each decided child is credited to its symbol.
+    At level k the undecided intervals are ``[num, num+1]/2^k``, kept as
+    their numerators.  With ``(C, Q)`` the target's scaled cumulative sums,
+    ``[num, num+1]/2^k`` decides symbol j iff ``C_{j-1}*2^k < num*Q`` and
+    ``(num+1)*Q < C_j*2^k``, the cursor's strict rule.  For k = 1..depth,
+    yields the number of intervals still undecided at level k, and the
+    number newly decided there for each symbol 1..b, in order.
     """
-    out = []
-    for num, level in nodes:
-        for child in (2 * num, 2 * num + 1):
-            lo = Fraction(child, 1 << (level + 1))
-            hi = Fraction(child + 1, 1 << (level + 1))
-            i = bisect_right(cum, lo)
-            if cum[i - 1] != lo and hi < cum[i]:
-                if law is not None:
-                    law[i] += Fraction(1, 1 << (level + 1))
-            else:
-                out.append((child, level + 1))
-    return out
+    cum, den = q.scaled_cumulative
+    nums = [0]
+    for k in range(1, depth + 1):
+        ends = [c << k for c in cum]  # C_j * 2^k
+        decided = [0] * q.size
+        undecided = []
+        for num in nums:
+            for child in (2 * num, 2 * num + 1):
+                lo = child * den
+                j = bisect_right(ends, lo)
+                if ends[j - 1] < lo and lo + den < ends[j]:
+                    decided[j - 1] += 1
+                else:
+                    undecided.append(child)
+        nums = undecided
+        yield len(nums), decided
 
 
 def exact_tail(q: ProbabilityVector, kmax: int) -> TailReport:
@@ -260,12 +270,9 @@ def exact_tail(q: ProbabilityVector, kmax: int) -> TailReport:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    cum = cumulative(q)
     survival = [Fraction(1)]
-    nodes = [(0, 0)]
-    for _ in range(kmax):
-        nodes = _undecided_children(cum, nodes, None)
-        survival.append(Fraction(len(nodes), 1 << len(survival)))
+    for k, (undecided, _) in enumerate(_levels(q, kmax), start=1):
+        survival.append(Fraction(undecided, 1 << k))
     return TailReport(q, tuple(survival))
 
 
@@ -279,10 +286,8 @@ def exact_symbol_law(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    cum = cumulative(q)
-    law: dict[int, Fraction] = {j: Fraction(0) for j in range(1, q.size + 1)}
-    nodes = [(0, 0)]
-    for _ in range(depth):
-        nodes = _undecided_children(cum, nodes, law)
-    undecided = Fraction(len(nodes), 1 << depth)
-    return law, undecided
+    mass = [0] * q.size  # decided mass per symbol, in units of 2^-k after level k
+    for undecided, decided in _levels(q, depth):
+        mass = [2 * m + d for m, d in zip(mass, decided)]
+    law = {j: Fraction(m, 1 << depth) for j, m in enumerate(mass, start=1)}
+    return law, Fraction(undecided, 1 << depth)

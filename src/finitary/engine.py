@@ -80,8 +80,7 @@ def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
         data = bytes(symbols)
     except ValueError:  # a symbol outside 0..255
         data = bytes(s if s == 1 or s == 2 else 0 for s in symbols)
-    pattern = b"\x02" + b"\x01" * (cfg.marker_len - 1)
-    return [m.start() for m in re.finditer(pattern, data)]
+    return [m.start() for m in re.finditer(bytes(cfg.pattern), data)]
 
 
 class _Sweep:
@@ -239,9 +238,10 @@ def _records(
     simulator of a block holding an index <= ``last`` has finished.
 
     Each block's indices are clipped to ``first..last`` and then capped:
-    index i may look at most ``max_window`` symbols past itself.  An index
-    whose block's closing marker, or whose simulator's reads, lie past its
-    cap is left out of the record.  WindowExhausted is raised when the
+    index i may look at most ``max_window`` symbols past itself, and a
+    negative ``max_window`` raises ValueError.  An index whose block's
+    closing marker, or whose simulator's reads, lie past its cap is left
+    out of the record.  WindowExhausted is raised when the
     simulator did not succeed within the cap of one of its indices and the
     input runs past that cap (so the cap, not the input, was binding).
     That is checked as soon as the input passes the cap of the lowest
@@ -254,6 +254,8 @@ def _records(
     the open block lies within ``max_window`` symbols of that simulator's
     block.
     """
+    if max_window < 0:
+        raise ValueError(f"max_window must be >= 0, got {max_window}")
     t = cfg.marker_len
     cap = max_window + 1  # index i sees the symbols before i + cap
     sweep = _Sweep(q)

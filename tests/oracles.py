@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from finitary.core import ProbabilityVector, SymbolWord, check_word, cumulative
+from finitary.core import ProbabilityVector, SymbolWord, check_word
 from finitary.extractor import PatternConfig, class_from_index, extract, invert
 
 
@@ -141,9 +141,14 @@ def verify_extractor(a, t, nmax, p_list) -> ExtractorReport:
     return ExtractorReport(tuple(counts_per_n), frozenset(failed))
 
 
+def prefix_sums(q: ProbabilityVector) -> list[Fraction]:
+    """Exact cumulative sums ``[0, q(1), q(1)+q(2), ..., 1]`` as Fractions."""
+    return list(itertools.accumulate(q.entries, initial=Fraction(0)))
+
+
 def prefix_decides(q: ProbabilityVector, bits) -> int | None:
     """Symbol decided by this exact prefix, from the defining inequalities."""
-    cum = cumulative(q)
+    cum = prefix_sums(q)
     k = len(bits)
     lo = sum(Fraction(b, 1 << (i + 1)) for i, b in enumerate(bits))
     hi = lo + Fraction(1, 1 << k)
@@ -172,6 +177,22 @@ def brute_survival(q: ProbabilityVector, kmax: int) -> list[Fraction]:
                 undecided += 1
         out.append(Fraction(undecided, 1 << k))
     return out
+
+
+def brute_symbol_law(q: ProbabilityVector, depth: int) -> tuple[dict[int, Fraction], Fraction]:
+    """Decided mass per symbol after ``depth`` bits, plus the undecided
+    remainder, by enumeration: each of the 2^depth prefixes is credited to
+    the symbol of its first decision, or to the remainder."""
+    law = {j: Fraction(0) for j in range(1, q.size + 1)}
+    undecided = Fraction(0)
+    weight = Fraction(1, 1 << depth)
+    for bits in itertools.product((0, 1), repeat=depth):
+        first = oracle_simulate(q, bits)
+        if first is None:
+            undecided += weight
+        else:
+            law[first[1]] += weight
+    return law, undecided
 
 
 class FractionCursor:
@@ -209,7 +230,7 @@ class FractionCursor:
         self.cell_lo = Fraction(0)
         self.cell_hi = Fraction(1)
         self.emitted: list[int] = []
-        self._cum = cumulative(target)
+        self._cum = prefix_sums(target)
         self._bounds = list(self._cum)
 
     @property

@@ -78,6 +78,20 @@ class TestParseConfig:
         cfg = parse_config("# comment\n\na=2\nq=1/3,2/3\nt=3\nseed=9\nmax_window=50")
         assert cfg.seed == 9 and cfg.max_window == 50 and cfg.marker_len == 3
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("t=3\nseed 5", "line 4: expected key=value"),
+            ("t=3\nq=1/3,2/3", "line 4: duplicate key 'q'"),
+            ("t=0", "t must be >= 1"),
+            ("eps=0", "eps must be > 0"),
+            ("t=3\nmax_window=-1", "max_window must be >= 0"),
+        ],
+    )
+    def test_rejected(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config("a=2\nq=1/2,1/2\n" + extra)
+
 
 class TestExtractCommand:
     def test_pinned_output(self):
@@ -236,6 +250,13 @@ class TestEncodeWriter:
         assert code == EXIT_OK and out
 
 
+class TestSelectCommand:
+    def test_selector_t(self):
+        code, out, err = run_cli(["select-t", "--q", "1/2,1/2", "--eps", "2/5", "--a", "3"])
+        assert code == EXIT_OK and err == ""
+        assert "t\t6" in out.splitlines()
+
+
 class TestVerifyBoundsCommand:
     def test_clean_target_passes(self):
         code, out, _ = run_cli(["verify-bounds", "--q", "1/3,2/3", "--kmax", "12"])
@@ -251,6 +272,9 @@ class TestVerifyBoundsCommand:
 
 
 class TestCertifyCommand:
+    CERTIFY = ["certify-t", "--p", "1/3,1/3,1/3", "--q", "1/2,1/2", "--t", "4",
+               "--trials", "20"]
+
     def test_pass_exit_zero(self):
         code, out, _ = run_cli(
             ["certify-t", "--p", "1/3,1/3,1/3", "--q", "1/2,1/2", "--t", "4",
@@ -272,6 +296,50 @@ class TestCertifyCommand:
              "--trials", "400"]
         )
         assert code == EXIT_OK and "seed\t11" in out
+
+    @pytest.mark.parametrize(
+        "config_seed,flag,env,seed",
+        [
+            (5, None, None, 5),
+            (5, 7, None, 7),
+            (5, None, "9", 5),
+            (None, None, "9", 9),
+            (None, None, None, 0),
+            (5, None, "x", 5),
+            (None, 7, "x", 7),
+        ],
+    )
+    def test_seed_resolution(self, tmp_path, monkeypatch, config_seed, flag, env, seed):
+        # --seed, then the config's seed, then FINITARY_SEED, then 0.  The
+        # run is the one that --seed gives alone.
+        path = tmp_path / "run.cfg"
+        seed_line = "" if config_seed is None else f"seed={config_seed}\n"
+        path.write_text("a=3\nq=1/2,1/2\neps=2/5\n" + seed_line)
+        argv = self.CERTIFY + ["--config", str(path)]
+        if flag is not None:
+            argv += ["--seed", str(flag)]
+        if env is None:
+            monkeypatch.delenv("FINITARY_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FINITARY_SEED", env)
+        code, out, err = run_cli(argv)
+        assert f"seed\t{seed}\n" in out and err == ""
+        monkeypatch.delenv("FINITARY_SEED", raising=False)
+        assert (code, out, err) == run_cli(self.CERTIFY + ["--seed", str(seed)])
+
+    def test_bad_env_seed_when_it_is_read(self, monkeypatch):
+        monkeypatch.setenv("FINITARY_SEED", "x")
+        code, out, err = run_cli(self.CERTIFY)
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: FINITARY_SEED is not an integer: 'x'\n"
+
+    def test_config_must_be_a_whole_encode_config(self, tmp_path):
+        # certify-t takes only the seed from a config, but parses all of it.
+        path = tmp_path / "seed.cfg"
+        path.write_text("seed=5\n")
+        code, out, err = run_cli(self.CERTIFY + ["--config", str(path)])
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: missing required key 'a'\n"
 
     def test_long_marker_is_refused_before_sampling(self):
         # At t = 40 the first draw would hold about 2^41 symbols.

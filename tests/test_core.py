@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from finitary.core import (
     ProbabilityVector,
     SymbolError,
     check_word,
-    cumulative,
     entropy,
     parse_bits,
     parse_rational,
@@ -83,7 +83,8 @@ class TestCumulative:
         ],
     )
     def test_prefix_sums(self, text, expected):
-        assert cumulative(ProbabilityVector.parse(text)) == expected
+        cum, den = ProbabilityVector.parse(text).scaled_cumulative
+        assert [F(c, den) for c in cum] == expected
 
 
 rationals = st.fractions(
@@ -95,8 +96,10 @@ rationals = st.fractions(
 def test_cumulative_strictly_increasing(parts):
     total = sum(parts)
     p = ProbabilityVector(tuple(v / total for v in parts))
-    cum = cumulative(p)
-    assert cum[0] == 0 and cum[-1] == 1
+    cum, den = p.scaled_cumulative
+    assert len(cum) == p.size + 1
+    assert cum[0] == 0 and cum[-1] == den
+    assert [F(c, den) for c in cum] == list(accumulate(p.entries, initial=F(0)))
     assert all(a < b for a, b in zip(cum, cum[1:]))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from finitary.core import ProbabilityVector, entropy
 from finitary.dyadic import DyadicCursor, TailReport, exact_symbol_law, exact_tail
 
-from oracles import FractionCursor, brute_survival, oracle_simulate
+from oracles import FractionCursor, brute_survival, brute_symbol_law, oracle_simulate
 
 F = Fraction
 FAIR = ProbabilityVector.parse("1/2,1/2")
@@ -369,6 +369,15 @@ class TestSymbolLaw:
         for j in range(1, q.size + 1):
             deficit = q.prob(j) - law[j]
             assert 0 <= deficit <= undecided
+
+    @pytest.mark.parametrize(
+        "text", ["1/2,1/2", "1/4,1/4,1/2", "1/3,2/3", "1/7,2/7,4/7", "5/8,1/8,1/4", "1"]
+    )
+    def test_matches_brute_enumeration(self, text):
+        # Every 10-bit prefix credited to its first decision, by the
+        # defining inequalities over Fraction endpoints.
+        q = ProbabilityVector.parse(text)
+        assert exact_symbol_law(q, 10) == brute_symbol_law(q, 10)
 
 
 def lex_product(q, length):

@@ -418,6 +418,20 @@ class TestWindowCap:
         with pytest.raises(WindowExhausted):
             map_range(stream, cfg, FAIR, 5, 6, max_window=30)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, cfg: map_range(s, cfg, FAIR, 0, len(s) - 1, max_window=-1),
+            lambda s, cfg: list(encode_stream([s], cfg, FAIR, max_window=-1)),
+            lambda s, cfg: certified_radius(s, cfg, FAIR, 0, max_window=-1),
+        ],
+        ids=["map_range", "encode_stream", "certified_radius"],
+    )
+    def test_negative_cap_refused(self, call):
+        # Not every index undetermined and nothing yielded: an error.
+        with pytest.raises(ValueError, match="max_window must be >= 0"):
+            call(random_stream(7, 3000, 3), PatternConfig(3, 3))
+
     def test_input_bound_is_undetermined(self):
         res = map_range(self.STARVED, PatternConfig(3, 4), FAIR, 5, 6, max_window=30)
         assert res.outputs == {}
