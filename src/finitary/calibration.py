@@ -65,14 +65,18 @@ def sample_blocks(
     t: int,
     count: int,
     seed: int,
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+) -> tuple[np.ndarray, list[bytes] | list[list[int]]]:
     """Sample ``count`` i.i.d. non-central blocks of the marker process.
 
     Draws a p-stream and takes the stretches between consecutive marker
-    occurrences; returns (block lengths, interior words).  Deterministic
-    given the seed.  Gives up after 64 times the expected number of symbols
-    (plus slack) without ``count`` blocks.  Raises ValueError before
-    drawing when the first draw would hold more than ``_MAX_DRAW`` symbols.
+    occurrences; returns (block lengths, interior words).  When the source
+    fits in a byte (fewer than 256 symbols), the draw becomes one byte per
+    symbol once, the markers are scanned in those bytes, and each word is a
+    ``bytes`` slice of them; otherwise each word is a list of ints, a slice
+    of the draw as one list.  Deterministic given the seed.  Gives up after
+    64 times the expected number of symbols (plus slack) without ``count``
+    blocks.  Raises ValueError before drawing when the first draw would
+    hold more than ``_MAX_DRAW`` symbols.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -90,7 +94,8 @@ def sample_blocks(
     while True:
         chunk = max(4096, int(e_lam * (count + 8) * 1.25) + 1024 - len(buf))
         buf = np.concatenate([buf, sample_symbols(p, chunk, rng)])
-        markers = scan_markers(buf.tolist(), cfg)
+        data = buf.astype(np.uint8).tobytes() if p.size < 256 else buf.tolist()
+        markers = scan_markers(data, cfg)
         if len(markers) >= count + 1:
             break
         if len(buf) > cap:
@@ -100,7 +105,7 @@ def sample_blocks(
             )
     markers = markers[: count + 1]
     lams = np.diff(markers).astype(int)
-    words = [tuple(buf[markers[i] + t : markers[i + 1]].tolist()) for i in range(count)]
+    words = [data[markers[i] + t : markers[i + 1]] for i in range(count)]
     return lams, words
 
 

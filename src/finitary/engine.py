@@ -68,18 +68,22 @@ class InvariantViolation(AssertionError):
 def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
     """Positions (0-based) where the full marker pattern fits and matches.
 
-    Each symbol becomes one byte.  Any int is read: when some symbol lies
-    outside 0..255 (a negative one, say), every symbol other than 1 and 2
-    becomes the byte 0, which is neither.  A sequence other than a list or
-    tuple (a numpy array, say) is read by value, not as a buffer.  The
-    pattern cannot overlap itself, so the non-overlapping matches of a
-    regular expression are all of its occurrences.
+    A ``bytes`` or ``bytearray`` segment is read in place, one symbol per
+    byte.  Otherwise each symbol becomes one byte.  Any int is read: when
+    some symbol lies outside 0..255 (a negative one, say), every symbol
+    other than 1 and 2 becomes the byte 0, which is neither.  A sequence
+    other than a list or tuple (a numpy array, say) is read by value, not
+    as a buffer.  The pattern cannot overlap itself, so the non-overlapping
+    matches of a regular expression are all of its occurrences.
     """
-    symbols = segment if isinstance(segment, (list, tuple)) else list(segment)
-    try:
-        data = bytes(symbols)
-    except ValueError:  # a symbol outside 0..255
-        data = bytes(s if s == 1 or s == 2 else 0 for s in symbols)
+    if isinstance(segment, (bytes, bytearray)):
+        data = segment
+    else:
+        symbols = segment if isinstance(segment, (list, tuple)) else list(segment)
+        try:
+            data = bytes(symbols)
+        except ValueError:  # a symbol outside 0..255
+            data = bytes(s if s == 1 or s == 2 else 0 for s in symbols)
     return [m.start() for m in re.finditer(bytes(cfg.pattern), data)]
 
 

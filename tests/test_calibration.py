@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from finitary import calibration
+from finitary import calibration, extractor
 from finitary.calibration import (
     CertificationReport,
     _chi2_sf,
@@ -19,7 +20,7 @@ from finitary.calibration import (
 )
 from finitary.core import ProbabilityVector
 from finitary.dyadic import exact_tail
-from finitary.extractor import extract
+from finitary.extractor import PatternConfig, _bit_count, _extract_bits, extract
 
 from oracles import verify_extractor
 
@@ -27,6 +28,15 @@ F = Fraction
 FAIR = ProbabilityVector.parse("1/2,1/2")
 Q13 = ProbabilityVector.parse("1/3,2/3")
 UNIF3 = ProbabilityVector.parse("1/3,1/3,1/3")
+
+
+def wide_source(a):
+    """Symbols 1 and 2 at 1/2 and 1/4, and the other a-2 sharing 1/4."""
+    return ProbabilityVector((F(1, 2), F(1, 4)) + (F(1, 4 * (a - 2)),) * (a - 2))
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 class TestExpectedBlockLength:
@@ -63,6 +73,45 @@ class TestSampleBlocks:
         lams, _ = sample_blocks(FAIR, 4, 20000, seed=7)
         se = lams.std(ddof=1) / math.sqrt(len(lams))
         assert abs(lams.mean() - 16) < 3 * se + 1e-9
+
+    @pytest.mark.parametrize(
+        "p,t,count,seed,lams_digest,words_digest",
+        [
+            (
+                FAIR, 3, 200, 1,
+                "81199327f98d8e180976f2fa45ba061f01f956da6adf9a182027b157d718703e",
+                "0fb258fb9b18dda21aaa193142c756f6724cee74596643b4a4b24cc062ed8f37",
+            ),
+            (
+                ProbabilityVector.parse("1/2,1/4,1/4"), 6, 50, 7,
+                "6474c5ab049316ca84389a5b00e476d5250aa596faa7b3c822484967b74f0e09",
+                "f96f00f4da86eae8479de4f79038b31d3f6b4f941de81999ef9802425fc50b92",
+            ),
+            (
+                wide_source(255), 3, 300, 11,
+                "77267cfdf3492b5d7ea4ea15c29c2e7add68cd1e67f10f7e0467992e0b7870e6",
+                "3d1a74dbe37ba5373397a9fa53da886c57470f8079206c1ac5c5b4ef2b871738",
+            ),
+            (
+                wide_source(256), 3, 300, 11,
+                "77267cfdf3492b5d7ea4ea15c29c2e7add68cd1e67f10f7e0467992e0b7870e6",
+                "03e935d43b3fe74a4ce1bee378ab37583f2230a1e6885b33b4c870beec58f123",
+            ),
+            (
+                wide_source(300), 3, 300, 11,
+                "77267cfdf3492b5d7ea4ea15c29c2e7add68cd1e67f10f7e0467992e0b7870e6",
+                "f920f4e09918557ad00d1ec8e5640285512f32efa0e7ff493755f2a09b76478d",
+            ),
+        ],
+        ids=["2", "3", "255", "256", "300"],
+    )
+    def test_pinned_sample(self, p, t, count, seed, lams_digest, words_digest):
+        # Recorded when every word was a tuple: the words hold the same
+        # symbols as bytes below 256 symbols and as lists from 256 on.
+        lams, words = sample_blocks(p, t, count, seed)
+        assert digest(lams.tolist()) == lams_digest
+        assert digest([tuple(w) for w in words]) == words_digest
+        assert {type(w) for w in words} == {bytes if p.size < 256 else list}
 
 
 class TestCertify:
@@ -115,6 +164,56 @@ class TestCertify:
         rep = certify_marker_length(p, FAIR, t, trials, seed)
         monkeypatch.setattr(calibration, "_bit_count", lambda w, cfg: extract(w, cfg).num_bits)
         assert rep == certify_marker_length(p, FAIR, t, trials, seed)
+
+    @pytest.mark.parametrize(
+        "a,fields_digest",
+        [
+            (255, "a70de8b1a98015ad16cb50e7bedd9a4b60ff89646876d043548732f0c10720e2"),
+            (300, "2968cd2783c98ed62ee0e049926ce08d3abc6bfa277003e1c7a463bc348881ba"),
+        ],
+        ids=["255", "300"],
+    )
+    def test_pinned_report(self, a, fields_digest):
+        # Either side of the byte-fit test on the alphabet size.
+        rep = certify_marker_length(wide_source(a), FAIR, 3, 300, 11)
+        fields = (
+            rep.marker_len, rep.trials, rep.seed, rep.mean_bits, rep.stderr_bits,
+            rep.sim_bound, rep.expected_block_len, rep.mean_block_len,
+            rep.margin, rep.status,
+        )
+        assert digest(fields) == fields_digest
+
+
+class TestBitCountOnSampledWords:
+    # (p, t, seeds, count): t = 5 seed 18 and t = 6 seeds 7 and 15 each hold a
+    # word whose term loop does not settle within t steps and that is wide,
+    # so its count comes from the window walk.
+    CASES = [
+        (ProbabilityVector.parse("1/2,1/4,1/4"), 3, (0, 1), 200),
+        (ProbabilityVector.parse("1/2,1/4,1/4"), 4, (0, 1), 200),
+        (ProbabilityVector.parse("1/2,1/4,1/4"), 5, (18,), 200),
+        (ProbabilityVector.parse("1/2,1/4,1/4"), 6, (7, 15), 200),
+        (wide_source(300), 3, (0,), 100),
+    ]
+
+    def test_count_agrees_with_extraction_in_any_container(self, monkeypatch):
+        walks = []
+        window_walk = extractor._window_walk
+
+        def counted(word, counts, t):
+            walks.append(t)
+            return window_walk(word, counts, t)
+
+        for p, t, seeds, count in self.CASES:
+            cfg = PatternConfig(p.size, t)
+            for seed in seeds:
+                _, words = sample_blocks(p, t, count, seed)
+                for w in words:
+                    with monkeypatch.context() as m:
+                        m.setattr(extractor, "_window_walk", counted)
+                        n = _bit_count(w, cfg)
+                    assert n == _bit_count(tuple(w), cfg) == len(_extract_bits(tuple(w), cfg))
+        assert sorted(walks) == [5, 6, 6]
 
 
 class TestSelectMarkerLength:

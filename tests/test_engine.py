@@ -57,20 +57,26 @@ class TestScanMarkers:
             return [p for p in range(len(x) - t + 1) if list(x[p : p + t]) == pattern]
 
         rng = np.random.Generator(np.random.PCG64(3))
+        # Mostly ones and twos, so that long markers occur, with symbols
+        # below 1 and above 255 mixed in, or only symbols that fit in a byte.
+        mixed = [1, 1, 1, 2, 3, 255, 256, 258, 299, 0, -1]
+        in_byte = [1, 1, 1, 2, 3, 255, 0]
         for t in range(1, 9):
             cfg = PatternConfig(300, t)
             for size in (0, 1, t - 1, t, t + 1, 50, 400):
-                # Mostly ones and twos, so that long markers occur, with
-                # symbols below 1 and above 255 mixed in.
-                draws = rng.choice([1, 1, 1, 2, 3, 255, 256, 258, 299, 0, -1], size=size)
-                stream = [int(v) for v in draws]
-                for start in range(0, size - 2 * t, 97):
-                    stream[start : start + 2 * t] = [2] + [1] * (2 * t - 1)
-                expected = definitional(stream, t)
-                assert scan_markers(stream, cfg) == expected
-                assert scan_markers(tuple(stream), cfg) == expected
-                assert scan_markers(np.array(stream, dtype=np.int64), cfg) == expected
+                for symbols in (mixed, in_byte):
+                    stream = [int(v) for v in rng.choice(symbols, size=size)]
+                    for start in range(0, size - 2 * t, 97):
+                        stream[start : start + 2 * t] = [2] + [1] * (2 * t - 1)
+                    expected = definitional(stream, t)
+                    assert scan_markers(stream, cfg) == expected
+                    assert scan_markers(tuple(stream), cfg) == expected
+                    assert scan_markers(np.array(stream, dtype=np.int64), cfg) == expected
+                    if all(0 <= s <= 255 for s in stream):
+                        assert scan_markers(bytes(stream), cfg) == expected
+                        assert scan_markers(bytearray(stream), cfg) == expected
             assert scan_markers([2] + [1] * (t - 1), cfg) == [0]
+            assert scan_markers(bytes([2] + [1] * (t - 1)), cfg) == [0]
 
 
 class TestSweep:
