@@ -29,6 +29,7 @@ from .extractor import (
     extract,
     invert,
     rank_in_class,
+    scan_markers,
     unrank_in_class,
 )
 from .engine import (
@@ -40,7 +41,6 @@ from .engine import (
     certified_radius,
     encode_stream,
     map_range,
-    scan_markers,
 )
 from .calibration import (
     CertificationReport,

@@ -24,10 +24,9 @@ import numpy as np
 
 from .core import ProbabilityVector, entropy
 from .dyadic import TailReport
-from .engine import scan_markers
 # Sampled words are in-range ints that lie between markers, so they are
 # pattern-free and skip the word check.
-from .extractor import PatternConfig, _bit_count
+from .extractor import PatternConfig, _bit_count, scan_markers
 
 LOG2 = math.log(2)
 # select_marker_length accepts the first t whose worst-case surplus clears

@@ -90,8 +90,6 @@ def parse_config(text: str) -> Config:
             if "max_window" in fields
             else engine.DEFAULT_MAX_WINDOW
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return Config(
@@ -273,8 +271,6 @@ def _cmd_encode(args, stdin, stdout) -> int:
 
 def _cmd_simulate(args, stdin, stdout) -> int:
     q = ProbabilityVector.parse(args.q)
-    if args.horizon < 1:
-        raise ValueError("horizon must be >= 1")
     cursor = dyadic.DyadicCursor(q, args.horizon)
     cursor.read(parse_bits(stdin.read()))
     if not cursor.successful:

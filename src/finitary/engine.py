@@ -40,15 +40,15 @@ itself, so identical streams give identical outputs no matter their origin.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .core import ProbabilityVector, SymbolError, SymbolWord, check_word
 from .dyadic import DyadicCursor
-# Callers validate the whole stream once, so block words skip the check.
-from .extractor import PatternConfig, _LazyBits, _lazy_bits
+# Callers validate the whole stream once, and a block's word lies between
+# consecutive markers, so block words skip both checks.
+from .extractor import PatternConfig, _LazyBits, _lazy_bits, scan_markers
 
 DEFAULT_MAX_WINDOW = 10**6
 
@@ -63,28 +63,6 @@ class UndeterminedIndex(LookupError):
 
 class InvariantViolation(AssertionError):
     """A schedule invariant (disjoint, in-order reads) failed."""
-
-
-def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
-    """Positions (0-based) where the full marker pattern fits and matches.
-
-    A ``bytes`` or ``bytearray`` segment is read in place, one symbol per
-    byte.  Otherwise each symbol becomes one byte.  Any int is read: when
-    some symbol lies outside 0..255 (a negative one, say), every symbol
-    other than 1 and 2 becomes the byte 0, which is neither.  A sequence
-    other than a list or tuple (a numpy array, say) is read by value, not
-    as a buffer.  The pattern cannot overlap itself, so the non-overlapping
-    matches of a regular expression are all of its occurrences.
-    """
-    if isinstance(segment, (bytes, bytearray)):
-        data = segment
-    else:
-        symbols = segment if isinstance(segment, (list, tuple)) else list(segment)
-        try:
-            data = bytes(symbols)
-        except ValueError:  # a symbol outside 0..255
-            data = bytes(s if s == 1 or s == 2 else 0 for s in symbols)
-    return [m.start() for m in re.finditer(bytes(cfg.pattern), data)]
 
 
 class _Sweep:

@@ -63,17 +63,28 @@ wide word thus checks the window walk against itself; the tests check the
 unrank against brute enumeration and long words against the term loop.
 
 Pattern containment is *full* containment: an occurrence must fit entirely
-inside the word, including one ending at its last position.
+inside the word, including one ending at its last position.  One matcher,
+``scan_markers``, recognises the pattern: the engine cuts blocks at its
+matches, and ``extract`` and ``rank_in_class`` refuse a word in which it
+finds one before they rank.  The walks, the bit count and the lazy bits
+take pattern-free words only, and look for no pattern.  The pattern cannot
+overlap itself, so a word between two consecutive matches holds none.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import SymbolWord, check_word
+
+
+# PatternConfig refuses a larger alphabet: every word costs O(a) time and
+# memory in its count vector, its class size and its class index.
+_MAX_ALPHABET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -85,14 +96,42 @@ class PatternConfig:
     marker_len: int
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.alphabet_size}")
+        if not 2 <= self.alphabet_size <= _MAX_ALPHABET:
+            raise ValueError(f"alphabet size {self.alphabet_size} outside 2..{_MAX_ALPHABET}")
         if self.marker_len < 1:
             raise ValueError(f"marker length must be >= 1, got {self.marker_len}")
 
     @property
     def pattern(self) -> SymbolWord:
         return (2,) + (1,) * (self.marker_len - 1)
+
+
+def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
+    """Positions (0-based) where the full marker pattern fits and matches.
+
+    This is the one matcher of the marker.  It never builds the pattern from
+    t alone: a segment shorter than t holds no marker, and otherwise the
+    pattern's t bytes are no longer than the segment.  A ``bytes`` or
+    ``bytearray`` segment is read in place, one symbol per byte.  Otherwise
+    each symbol becomes one byte.  Any int is read: when some symbol lies
+    outside 0..255 (a negative one, say), every symbol other than 1 and 2
+    becomes the byte 0, which is neither.  A sequence other than a list or
+    tuple (a numpy array, say) is read by value, not as a buffer.  The
+    pattern cannot overlap itself, so the non-overlapping matches of the
+    literal are all of its occurrences.
+    """
+    t = cfg.marker_len
+    if len(segment) < t:
+        return []
+    if isinstance(segment, (bytes, bytearray)):
+        data = segment
+    else:
+        symbols = segment if isinstance(segment, (list, tuple)) else list(segment)
+        try:
+            data = bytes(symbols)
+        except ValueError:  # a symbol outside 0..255
+            data = bytes(s if s == 1 or s == 2 else 0 for s in symbols)
+    return [m.start() for m in re.finditer(b"\x02" + b"\x01" * (t - 1), data)]
 
 
 @dataclass(frozen=True)
@@ -167,8 +206,8 @@ _FLUSH_BITS = 256
 def _term_walk(
     word: SymbolWord, counts: tuple[int, ...], terms: list[int], t: int
 ) -> Iterator[int]:
-    """Yield the rank along the term loop over a validated word, before the
-    first symbol and after each.
+    """Yield the rank along the term loop over a validated pattern-free
+    word, before the first symbol and after each.
 
     ``counts`` is the word's count vector and ``terms`` its ``_terms``,
     which the loop updates in place as the suffix shrinks: at each yield
@@ -177,7 +216,7 @@ def _term_walk(
     to the rank (the completions that start below it) and then leaves
     ``T_r * (x - r*shrink) / y_r``, with ``y_r = y - r(t-1)``; every
     quotient is exact.  Only the last term can reach zero, and then it is
-    dropped.  Raises ValueError at the symbol that completes the pattern.
+    dropped.
 
     Counting the completions below each symbol, as the window walk does,
     takes the pending count of a 2 off at the symbol that ends its run of
@@ -200,25 +239,16 @@ def _term_walk(
     """
     step = t - 1
     m = list(counts)
-    if t == 1 and m[1]:
-        raise ValueError("word contains the marker pattern")
     rank = 1
     yield rank
-    state = 0
     n = len(word)
     for i, sym in enumerate(word):
         y = n - i
         if sym == 1:
-            if state:
-                state += 1
-                if state == t:
-                    raise ValueError("word contains the marker pattern")
             x, shrink, c, dc = m[0], step, 0, 0
         elif sym == 2:
-            state = 1
             x, shrink, c, dc = m[1], 1, m[0], step - 1
         else:
-            state = 0
             x, shrink, c, dc = m[sym - 1], 0, sum(m[: sym - 1]), step
         m[sym - 1] -= 1
         for r, u in enumerate(terms):
@@ -260,8 +290,8 @@ def _window(top: int, s: int, c: int, k: int, big_m: int) -> list[int]:
 def _window_walk(
     word: SymbolWord | list[int], counts: tuple[int, ...], t: int, target: int = 0
 ) -> Iterator[tuple[int, int]]:
-    """Checkpoints ``(lo, span)`` of a validated word's rank, by the window
-    walk: the rank lies in ``[lo, lo + span - 1]``.
+    """Checkpoints ``(lo, span)`` of a validated pattern-free word's rank,
+    by the window walk: the rank lies in ``[lo, lo + span - 1]``.
 
     With s = t-1, a suffix with m_1 ones, c twos and k symbols other than 1
     has G(m_1) pattern-free orders, where G(n) = M f(n, c, k+1), M counts the
@@ -320,8 +350,7 @@ def _window_walk(
     first formula.  While N < 0 only G(0) = M matters, and it is kept
     instead; a symbol above 2 takes N to 0, and ``_window`` rebuilds ``h``
     from M by s forward steps.  So each symbol costs O(t) exact operations
-    and the walk keeps O(t) values.  Raises ValueError when the word
-    contains the pattern.
+    and the walk keeps O(t) values.
 
     Given a ``target`` rank, the walk unranks instead (enumerative decoding,
     Cover 1973): it appends the class's word of that rank to ``word``, an
@@ -395,13 +424,10 @@ def _window_walk(
             c -= 1
             k -= 1
         else:
-            if sym == 1:
-                if j >= 0:
-                    j += 1
-                    if j == s:
-                        raise ValueError("word contains the marker pattern")
-            else:
+            if sym != 1:
                 j = -1
+            elif j >= 0:
+                j += 1
             n = ones - s - 1
             if n < 0:
                 low = 0
@@ -483,8 +509,11 @@ def _term_rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, 
 
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
     """1-based lexicographic rank of ``word`` among pattern-free words with
-    the same count vector."""
+    the same count vector.  Raises ValueError when ``scan_markers`` finds
+    the marker in the word."""
     word = check_word(word, cfg.alphabet_size)
+    if scan_markers(word, cfg):
+        raise ValueError("word contains the marker pattern")
     return _rank(word, _counts(word, cfg), cfg.marker_len)[0]
 
 
@@ -575,16 +604,19 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     The class size d splits as a sum of distinct powers of two; ranks are
     assigned to the power-of-two sub-blocks in order, and within a sub-block
     of size 2^e the word's offset from the block's top rank is written out as
-    e bits (most significant first).
+    e bits (most significant first).  Raises ValueError when
+    ``scan_markers`` finds the marker in the word.
     """
     word = check_word(word, cfg.alphabet_size)
+    if scan_markers(word, cfg):
+        raise ValueError("word contains the marker pattern")
     counts = _counts(word, cfg)
     return ExtractionTriple(_extract_bits(word, cfg, counts), class_index(counts))
 
 
 class _LazyBits:
-    """A wide word's extracted bits, made as they are read: a sized iterable
-    of "0" and "1" over the checkpoints of its window walk.
+    """A wide pattern-free word's extracted bits, made as they are read: a
+    sized iterable of "0" and "1" over the checkpoints of its window walk.
 
     The length e is settled at the first checkpoint whose range ``[lo, lo +
     span - 1]`` lies inside one power-of-two sub-block, the one that
@@ -593,9 +625,9 @@ class _LazyBits:
     offset in that range shares the top bits on which its two ends agree.
     So the iterator yields those bits and draws the next checkpoint only
     when the reader asks for a bit past them: the walk runs only as far as
-    its bits are read.  It is drawn to its end, which checks the rest of the
-    word for the pattern, only when a reader asks for a bit past the last.
-    A paused walk holds its O(t) window values.  Iterate once.
+    its bits are read, and to its end only when a reader asks for a bit
+    past the last.  A paused walk holds its O(t) window values.  Iterate
+    once.
     """
 
     __slots__ = ("_walk", "_at", "_top", "_e")
@@ -625,8 +657,9 @@ class _LazyBits:
 def _lazy_bits(
     word: SymbolWord, cfg: PatternConfig, counts: tuple[int, ...] | None = None
 ) -> str | _LazyBits:
-    """The extracted bits of a validated word, as a sized iterable of "0"
-    and "1": the e binary digits of its offset, most significant first.
+    """The extracted bits of a validated pattern-free word, as a sized
+    iterable of "0" and "1": the e binary digits of its offset, most
+    significant first.
     ``counts`` is the word's count vector, counted here when not given.
 
     A ``_wide`` word's bits are a ``_LazyBits`` over its window walk, made
@@ -661,8 +694,7 @@ def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:
     terms, so after t unsettled steps the count comes from the window walk
     instead, which stops at the checkpoint that settles it, as ``len`` of
     ``_lazy_bits`` does.  Most words settle within t steps, so ``_wide`` is
-    asked only after them.  The word must be validated and pattern-free: a
-    pattern after the stop goes unnoticed.
+    asked only after them.  The word must be validated and pattern-free.
     """
     t = cfg.marker_len
     counts = _counts(word, cfg)

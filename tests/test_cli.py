@@ -127,6 +127,31 @@ class TestSimulateCommand:
         code, _, err = run_cli(["simulate", "--q", "1/2,1/2"], "01")
         assert code == EXIT_INPUT and "insufficient" in err
 
+    def test_horizon_checked_by_the_cursor(self):
+        code, out, err = run_cli(["simulate", "--q", "1/2,1/2", "--horizon", "0"], "0 1")
+        assert (code, out, err) == (EXIT_INPUT, "", "error: horizon must be >= 1, got 0\n")
+
+
+class TestHostileSizes:
+    """A marker longer than the input and an alphabet past the bound end the
+    command at once, with no traceback and no memory to speak of."""
+
+    def test_marker_longer_than_input_gives_no_output(self):
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "1000000000"]
+        assert run_cli(argv, "1 2 1 1 3 2 1\n") == (EXIT_OK, "", "")
+
+    @pytest.mark.parametrize(
+        "argv,stdin_text",
+        [
+            (["extract", "--a", "1000000000", "--t", "2", "--word", "1 3"], ""),
+            (["encode", "--a", "1000000000", "--q", "1/2,1/2", "--t", "2"], "2 1 2 1\n"),
+        ],
+    )
+    def test_huge_alphabet_is_one_error_line(self, argv, stdin_text):
+        code, out, err = run_cli(argv, stdin_text)
+        assert code == EXIT_INPUT and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: alphabet size 1000000000")
+
 
 def make_stream(seed, size, alphabet):
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finitary import extractor
-from finitary.engine import scan_markers
 from finitary.extractor import (
     ExtractionTriple,
     PatternConfig,
@@ -25,6 +24,7 @@ from finitary.extractor import (
     extract,
     invert,
     rank_in_class,
+    scan_markers,
     unrank_in_class,
 )
 
@@ -51,10 +51,19 @@ class TestConfig:
             PatternConfig(1, 3)
         with pytest.raises(ValueError):
             PatternConfig(2, 0)
+        # Every word costs O(a), so the alphabet is bounded; the bound admits
+        # the 300 symbols that the calibration tests sample.
+        assert extractor._MAX_ALPHABET >= 300
+        PatternConfig(extractor._MAX_ALPHABET, 3)
+        for a in (extractor._MAX_ALPHABET + 1, 10**9):
+            with pytest.raises(ValueError, match=f"alphabet size {a} outside"):
+                PatternConfig(a, 3)
 
 
 class TestPatternFree:
-    """Containment is full containment, in the extractor and the scanner."""
+    """Containment is full containment, and the scanner is its one test:
+    ``extract`` and ``rank_in_class`` refuse exactly the words in which it
+    finds the marker."""
 
     def test_the_pattern_itself(self):
         with pytest.raises(ValueError, match="marker pattern"):
@@ -79,8 +88,26 @@ class TestPatternFree:
                 if contains_marker(w, t):
                     with pytest.raises(ValueError, match="marker pattern"):
                         extract(w, cfg)
+                    with pytest.raises(ValueError, match="marker pattern"):
+                        rank_in_class(w, cfg)
                 else:
                     extract(w, cfg)
+                    rank_in_class(w, cfg)
+
+    @pytest.mark.parametrize("t", [10**9, 2**40])
+    def test_marker_longer_than_segment_costs_no_memory(self, t):
+        # A segment shorter than t holds no marker; the scan must not build
+        # the t-symbol pattern to find that out.
+        cfg = PatternConfig(3, t)
+        segment = [2, 1, 1, 3, 2, 1, 1]
+        tracemalloc.start()
+        try:
+            for seg in (segment, tuple(segment), bytes(segment)):
+                assert scan_markers(seg, cfg) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestClassSize:
@@ -869,7 +896,8 @@ class TestWindowWalk:
     def test_marker_in_a_wide_word_at_t1(self):
         # At t = 1 the pattern is a lone 2, so a long word with a 2 has
         # several wide terms, though a pattern-free class has one.  The
-        # dispatch still sends it to the term loop, which refuses the 2.
+        # dispatch still sends it to the term loop, and ``extract`` refuses
+        # the 2 before it ranks.
         cfg = PatternConfig(3, 1)
         for w in [(1, 3) * 400 + (2,), (2,) + (1, 3) * 400, (1, 3) * 400 + (2, 2)]:
             assert not extractor._wide(count_vector(w, 3), 1)
@@ -956,8 +984,9 @@ class TestLazyBits:
             assert drawn[0] == len(checkpoints)
 
     def test_pattern_in_a_wide_word_is_found_when_every_bit_is_read(self):
-        # The length settles long before the pattern at the word's end, but
-        # ``extract`` reads past the last bit, which draws the whole walk.
+        # The length settles long before the pattern at the word's end, so
+        # the walk never sees it; ``extract`` refuses the word before it
+        # ranks.
         cfg = PatternConfig(3, 3)
         word = (2, 1, 3) * 300 + (2, 1, 1)
         assert extractor._wide(count_vector(word, 3), 3)
