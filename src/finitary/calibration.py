@@ -18,9 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+# numpy is imported by the four functions that use it, so that importing
+# the package, as every command does, loads none.
+if TYPE_CHECKING:
+    import numpy as np
 
 from .core import ProbabilityVector, entropy
 from .dyadic import TailReport
@@ -52,6 +55,8 @@ def expected_block_length(p: ProbabilityVector, t: int) -> Fraction:
 def sample_symbols(p: ProbabilityVector, count: int, rng: np.random.Generator) -> np.ndarray:
     """Exact i.i.d. sample of ``count`` symbols 1..len(p): a uniform integer
     below the common denominator, placed among the scaled cumulative sums."""
+    import numpy as np
+
     cum, den = p.scaled_cumulative
     if den >= 2**63:
         raise ValueError("denominators too large for integer sampling")
@@ -77,6 +82,8 @@ def sample_blocks(
     blocks.  Raises ValueError before drawing when the first draw would
     hold more than ``_MAX_DRAW`` symbols.
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     lam = expected_block_length(p, t)
@@ -154,6 +161,8 @@ def certify_marker_length(
 ) -> CertificationReport:
     """Sample blocks under ``p`` and test mean extracted bits against the
     simulation-cost bound (h(q)/log 2) E(block length) + 6."""
+    import numpy as np
+
     if trials < 2:
         raise ValueError("need at least 2 trials")
     cfg = PatternConfig(p.size, t)
@@ -320,6 +329,8 @@ def tail_fit(samples: Sequence[int]) -> TailFit:
     Raises ValueError on a sample outside the int64 range, and when the fit
     would span more than ``_MAX_TAIL_SPAN`` (2^22) integers.
     """
+    import numpy as np
+
     try:
         arr = np.asarray(samples, dtype=np.int64)
     except OverflowError:

@@ -7,6 +7,13 @@ reader that closes stdout early is not an error: the command stops writing
 and exits with nothing on stderr, with 0, or its own code if it had already
 finished.
 Reports are TAB-separated key/value lines.
+
+``main`` builds the parser of the command that its first argument names,
+from that command's entry in ``_COMMANDS``, and the parser of all eight
+only when the first argument names none (``-h``, no argument, an unknown
+word); both print the same usage, help and errors.  ``encode`` reads stdin
+READ_SIZE bytes at a time, so its first block goes out after at most that
+much input is tokenized.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ EXIT_INPUT = 1
 EXIT_WINDOW = 2
 EXIT_VERIFY = 3
 
-READ_SIZE = 1 << 16  # most bytes of stdin that ``encode`` reads at a time
+READ_SIZE = 1 << 12  # most bytes of stdin that ``encode`` reads at a time
 
 _CONFIG_KEYS = {"a", "q", "eps", "t", "seed", "max_window"}
 
@@ -129,57 +136,27 @@ def _load_config(args) -> Config | None:
         return parse_config(fh.read())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command when it is None.
+
+    The one-command parser lists all eight names in its usage line, so its
+    usage, help and errors read as the full parser's do.  The full parser
+    leaves that list to argparse, which prints the same braces: its errors
+    for a missing or unknown command call the argument "command", and a
+    metavar would replace that name.
+    """
     parser = argparse.ArgumentParser(
         prog="finitary",
         description="Finitary stream transform and its verification tools.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    enc = sub.add_parser("encode", help="transform a symbol stream from stdin")
-    enc.add_argument("--config", help="key=value config file")
-    enc.add_argument("--a", type=int, help="source alphabet size")
-    enc.add_argument("--q", help="target distribution, comma-separated rationals")
-    enc.add_argument("--eps", help="entropy gap (rational), used to choose t")
-    enc.add_argument("--t", type=int, help="marker length override")
-    enc.add_argument("--max-window", type=int, dest="max_window")
-    enc.add_argument(
-        "--report",
-        action="store_true",
-        help="emit index<TAB>symbol<TAB>radius lines instead of bare symbols",
-    )
-
-    sim = sub.add_parser("simulate", help="run the bit-fed simulator on stdin bits")
-    sim.add_argument("--q", required=True)
-    sim.add_argument("--horizon", type=int, default=1, help="symbols to draw")
-
-    ext = sub.add_parser("extract", help="extract bits from a pattern-free word")
-    ext.add_argument("--a", type=int, required=True)
-    ext.add_argument("--t", type=int, required=True)
-    ext.add_argument("--word", required=True, help="whitespace-separated symbols")
-
-    sel = sub.add_parser("select-t", help="derive a certified-safe marker length")
-    sel.add_argument("--q", required=True)
-    sel.add_argument("--eps", required=True)
-    sel.add_argument("--a", type=int, required=True)
-
-    cert = sub.add_parser("certify-t", help="empirically certify a marker length")
-    cert.add_argument("--p", required=True, help="source distribution to test")
-    cert.add_argument("--q", required=True)
-    cert.add_argument("--t", type=int, required=True)
-    cert.add_argument("--trials", type=int, default=10000)
-    cert.add_argument("--seed", type=int)
-    cert.add_argument("--config")
-
-    ver = sub.add_parser("verify-bounds", help="exact stopping-time bound checks")
-    ver.add_argument("--q", required=True)
-    ver.add_argument("--kmax", type=int, default=20)
-
-    ana = sub.add_parser("analyze", help="chi-square a symbol stream against q")
-    ana.add_argument("--q", required=True)
-    ana.add_argument("--alpha", type=float, help="fail (exit 3) when p-value < alpha")
-
-    tls = sub.add_parser("tails", help="fit the tail of integer samples from stdin")
+    names = _COMMANDS if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, help_text, arguments = _COMMANDS[name]
+        cmd = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
     return parser
 
 
@@ -293,6 +270,7 @@ def _cmd_extract(args, stdin, stdout) -> int:
 def _cmd_select_t(args, stdin, stdout) -> int:
     q = ProbabilityVector.parse(args.q)
     eps = parse_rational(args.eps)
+    PatternConfig(args.a, 1)  # refuses the alphabets that ``encode`` refuses
     t = calibration.select_marker_length(q, eps, args.a)
     _report(stdout, t=t, a=args.a, eps=eps, q=args.q)
     return EXIT_OK
@@ -381,15 +359,52 @@ def _cmd_tails(args, stdin, stdout) -> int:
     return EXIT_OK
 
 
+# Each command's function, help line and arguments, as the flag and the
+# keywords that ``add_argument`` takes.
 _COMMANDS = {
-    "encode": _cmd_encode,
-    "simulate": _cmd_simulate,
-    "extract": _cmd_extract,
-    "select-t": _cmd_select_t,
-    "certify-t": _cmd_certify_t,
-    "verify-bounds": _cmd_verify_bounds,
-    "analyze": _cmd_analyze,
-    "tails": _cmd_tails,
+    "encode": (_cmd_encode, "transform a symbol stream from stdin", [
+        ("--config", dict(help="key=value config file")),
+        ("--a", dict(type=int, help="source alphabet size")),
+        ("--q", dict(help="target distribution, comma-separated rationals")),
+        ("--eps", dict(help="entropy gap (rational), used to choose t")),
+        ("--t", dict(type=int, help="marker length override")),
+        ("--max-window", dict(type=int, dest="max_window")),
+        ("--report", dict(
+            action="store_true",
+            help="emit index<TAB>symbol<TAB>radius lines instead of bare symbols",
+        )),
+    ]),
+    "simulate": (_cmd_simulate, "run the bit-fed simulator on stdin bits", [
+        ("--q", dict(required=True)),
+        ("--horizon", dict(type=int, default=1, help="symbols to draw")),
+    ]),
+    "extract": (_cmd_extract, "extract bits from a pattern-free word", [
+        ("--a", dict(type=int, required=True)),
+        ("--t", dict(type=int, required=True)),
+        ("--word", dict(required=True, help="whitespace-separated symbols")),
+    ]),
+    "select-t": (_cmd_select_t, "derive a certified-safe marker length", [
+        ("--q", dict(required=True)),
+        ("--eps", dict(required=True)),
+        ("--a", dict(type=int, required=True)),
+    ]),
+    "certify-t": (_cmd_certify_t, "empirically certify a marker length", [
+        ("--p", dict(required=True, help="source distribution to test")),
+        ("--q", dict(required=True)),
+        ("--t", dict(type=int, required=True)),
+        ("--trials", dict(type=int, default=10000)),
+        ("--seed", dict(type=int)),
+        ("--config", dict()),
+    ]),
+    "verify-bounds": (_cmd_verify_bounds, "exact stopping-time bound checks", [
+        ("--q", dict(required=True)),
+        ("--kmax", dict(type=int, default=20)),
+    ]),
+    "analyze": (_cmd_analyze, "chi-square a symbol stream against q", [
+        ("--q", dict(required=True)),
+        ("--alpha", dict(type=float, help="fail (exit 3) when p-value < alpha")),
+    ]),
+    "tails": (_cmd_tails, "fit the tail of integer samples from stdin", []),
 }
 
 
@@ -397,14 +412,15 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     code = EXIT_OK
     try:
-        code = _COMMANDS[args.command](args, stdin, stdout)
+        code = _COMMANDS[args.command][0](args, stdin, stdout)
         stdout.flush()
     except BrokenPipeError:
         # The reader of stdout has gone (``encode ... | head -1``): not an

@@ -95,6 +95,15 @@ class ProbabilityVector:
         scaled = (v.numerator * (den // v.denominator) for v in self.entries)
         return tuple(accumulate(scaled, initial=0)), den
 
+    @cached_property
+    def odd_cell_widths(self) -> tuple[int, ...]:
+        """The odd part of ``Q*(C_j - C_{j-1})`` at index j for j >= 1, and 0
+        at index 0; computed once per vector.  At an emission of symbol j,
+        the cursor's gcd has no odd factor that this lacks."""
+        cum, den = self.scaled_cumulative
+        widths = [den * (c - b) for b, c in zip(cum, cum[1:])]
+        return (0, *(m // (m & -m) for m in widths))
+
 
 def entropy(p: ProbabilityVector) -> float:
     """Entropy of ``p`` in nats; floating point, for calibration only."""

@@ -76,6 +76,19 @@ class DyadicCursor:
     (a + C_{j-1}*D)/Q`` and ``W`` back, so a read leaves (L, W, D) as the
     bit-by-bit rules above would.
 
+    The gcd at an emission costs O(n) on n-bit integers, not the full
+    gcd's O(n²).  After a reduction gcd(L, W, D) = 1, and bits keep it a
+    power of 2: an odd prime dividing W and 2D divides D and then L.  So an
+    odd prime power p^e dividing ``a``, ``W*Q`` and ``D*d`` (``d = C_j -
+    C_{j-1}``) divides ``Q*d``.  If p misses W, p^e divides Q; if it misses
+    D, p^e divides d; else p misses L, and p^e | a = L*Q - C_{j-1}*D gives
+    e <= v_p(Q) or v_p(D) <= v_p(Q), with p^e | D*d.  So the gcd is the
+    power of 2 that the three share times their gcd with the odd part of
+    Q*d, a small number that reduces each of them in one pass; when Q*d is
+    a power of 2 no gcd is taken.  Unless every entry of the target is a
+    power of 1/2, the integers grow with every bit, so this is what keeps
+    a long run of bits quadratic rather than cubic.
+
     A degenerate single-symbol target is supported; it still consumes at
     least two bits, since the interval must clear both endpoints of [0, 1].
     """
@@ -86,6 +99,7 @@ class DyadicCursor:
         "emitted",
         "_cum",
         "_den",
+        "_odd",
         "_left",
         "_width",
         "_scale",
@@ -98,6 +112,7 @@ class DyadicCursor:
         self.bits_consumed = 0
         self.emitted: list[int] = []
         self._cum, self._den = target.scaled_cumulative  # C_0..C_b and Q
+        self._odd = target.odd_cell_widths
         self._left = 0  # L
         self._width = 1  # W
         self._scale = 1  # D
@@ -119,7 +134,7 @@ class DyadicCursor:
         emitted, horizon = self.emitted, self.horizon
         if len(emitted) == horizon:
             raise ValueError("cursor is already successful; reading rejected")
-        cum, den = self._cum, self._den
+        cum, den, odd = self._cum, self._den, self._odd
         scale = self._scale
         lq, wq = self._left * den, self._width * den  # L*Q and W*Q
         bits = iter(bits)
@@ -158,7 +173,12 @@ class DyadicCursor:
                 emitted.append(j)
                 # Rescale cell j to [0, 1]: L <- a, W <- W*Q, D <- D*(C_j - C_{j-1}).
                 scale *= cum[j] - cum[j - 1]
-                g = gcd(a, wq, scale)
+                # gcd(a, wq, scale): the power of 2 the three share, times
+                # their gcd with the odd part of Q*d, ``odd[j]`` (see above).
+                low = a | wq | scale
+                g = low & -low
+                if odd[j] > 1:
+                    g *= gcd(odd[j], a, wq, scale)
                 if g > 1:
                     a //= g
                     wq //= g

@@ -7,9 +7,11 @@ prefixes, and the block schedule is a literal dict-based transcription of the
 step rules with the success check re-run from scratch on every read.
 ``FractionCursor`` is the simulator cursor as first written, in ``Fraction``
 arithmetic over absolute cell bounds; the package's integer cursor is checked
-against it.  ``naive_rank_in_class``/``naive_unrank_in_class`` are the
-within-class ranker as first written: every candidate symbol recounts its
-completions from a cached factorial table, where the package walks the
+against it, and its state against ``GcdCursor``, which applies the integer
+rules a bit at a time and divides out the full gcd at every emission.
+``naive_rank_in_class``/``naive_unrank_in_class`` are the within-class
+ranker as first written: every candidate symbol recounts its completions
+from a cached factorial table, where the package walks the
 inclusion-exclusion terms once.  ``class_size`` counts a class by recursion
 over the pattern automaton, with no inclusion-exclusion at all, and
 ``verify_extractor`` checks the extraction triple on every short word.
@@ -273,6 +275,42 @@ class FractionCursor:
         if self.hi < bounds[i]:
             return i
         return None
+
+
+class GcdCursor:
+    """The integer cursor's rules, one bit at a time: bit ``x`` sets ``L <-
+    2L + x*W`` and ``D <- 2D``; symbol j is emitted while ``C_{j-1}*D < L*Q``
+    and ``(L+W)*Q < C_j*D``, and rescales ``(L, W, D)`` to ``(L*Q -
+    C_{j-1}*D, W*Q, D*(C_j - C_{j-1}))`` divided by their full gcd.
+    ``state`` is that reduced ``(L, W, D)``."""
+
+    def __init__(self, target: ProbabilityVector, horizon: int):
+        bounds = prefix_sums(target)
+        self.den = math.lcm(*(c.denominator for c in bounds))
+        self.cum = [int(c * self.den) for c in bounds]
+        self.horizon = horizon
+        self.emitted: list[int] = []
+        self.state = (0, 1, 1)
+
+    def feed(self, bit: int) -> None:
+        left, width, scale = self.state
+        left, scale = 2 * left + bit * width, 2 * scale
+        cum, den = self.cum, self.den
+        while len(self.emitted) < self.horizon:
+            inside = [
+                j
+                for j in range(1, len(cum))
+                if cum[j - 1] * scale < left * den and (left + width) * den < cum[j] * scale
+            ]
+            if not inside:
+                break
+            j = inside[0]
+            self.emitted.append(j)
+            left, width = left * den - cum[j - 1] * scale, width * den
+            scale *= cum[j] - cum[j - 1]
+            g = math.gcd(left, width, scale)
+            left, width, scale = left // g, width // g, scale // g
+        self.state = (left, width, scale)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import random
 import select
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,9 @@ from finitary.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     EXIT_WINDOW,
+    READ_SIZE,
     ConfigError,
+    _build_parser,
     main,
     parse_config,
 )
@@ -31,6 +34,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 F = Fraction
+FAIR = ProbabilityVector.parse("1/2,1/2")
 Q13 = ProbabilityVector.parse("1/3,2/3")
 
 
@@ -151,6 +155,24 @@ class TestHostileSizes:
         code, out, err = run_cli(argv, stdin_text)
         assert code == EXIT_INPUT and out == ""
         assert err.count("\n") == 1 and err.startswith("error: alphabet size 1000000000")
+
+    def test_long_block_at_a_non_dyadic_target_in_bounded_time(self):
+        # One 12,000-symbol block at q = 1/10,9/10: the cursor's integers
+        # grow with every bit, so a full gcd at each emission makes the
+        # block cubic, about 8 s on a 2-CPU machine; the gcd with the odd
+        # part of Q*d takes about 0.4 s.
+        rng, word, run = random.Random(7), [], 0
+        while len(word) < 12000:
+            sym = rng.randint(1, 3)
+            nxt = 1 if sym == 2 else run + 1 if sym == 1 and run else 0
+            if nxt < 3:
+                word.append(sym)
+                run = nxt
+        text = "2 1 1 " + " ".join(map(str, word)) + " 2 1 1\n"
+        start = time.perf_counter()
+        code, out, err = run_cli(["encode", "--a", "3", "--q", "1/10,9/10", "--t", "3"], text)
+        assert time.perf_counter() - start < 3
+        assert (code, err) == (EXIT_OK, "") and len(out.split()) == 12003
 
 
 def make_stream(seed, size, alphabet):
@@ -280,6 +302,12 @@ class TestSelectCommand:
         code, out, err = run_cli(["select-t", "--q", "1/2,1/2", "--eps", "2/5", "--a", "3"])
         assert code == EXIT_OK and err == ""
         assert "t\t6" in out.splitlines()
+
+    @pytest.mark.parametrize("a", ["4097", "5000"])
+    def test_refuses_the_alphabets_encode_refuses(self, a):
+        selected = run_cli(["select-t", "--q", "1/2,1/2", "--eps", "2/5", "--a", a])
+        encoded = run_cli(["encode", "--a", a, "--q", "1/2,1/2", "--t", "3"], "2 1 1 3\n")
+        assert selected == encoded == (EXIT_INPUT, "", f"error: alphabet size {a} outside 2..4096\n")
 
 
 class TestVerifyBoundsCommand:
@@ -429,28 +457,42 @@ class TestAnalyzeAndTails:
 
 
 class TestRuntimeDependencies:
-    # scipy is a test extra only: no command may need it at run time.
-    NO_SCIPY = "import sys; sys.modules['scipy'] = None; from finitary.cli import entry; entry()"
+    # scipy is a test extra only: no command may need it at run time.  Only
+    # certify-t and tails load numpy.
+    BLOCKED = "import sys; sys.modules[{!r}] = None; from finitary.cli import entry; entry()"
+    ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
-    def run_without_scipy(self, argv, stdin_text=""):
+    def run_without(self, module, argv, stdin_text=""):
         return subprocess.run(
-            [sys.executable, "-c", self.NO_SCIPY, *argv],
+            [sys.executable, "-c", self.BLOCKED.format(module), *argv],
             input=stdin_text,
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            env=self.ENV,
             timeout=120,
         )
 
+    def python_ok(self, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=self.ENV, timeout=60
+        )
+        return proc.returncode == 0
+
     def test_scipy_is_blocked_and_not_imported(self):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        blocked = "import sys; sys.modules['scipy'] = None; import scipy.special"
-        unused = "import sys, finitary.cli; sys.exit(any(m.startswith('scipy') for m in sys.modules))"
-        for code, ok in [(blocked, False), (unused, True)]:
-            proc = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-            )
-            assert (proc.returncode == 0) == ok, proc.stderr
+        assert not self.python_ok("import sys; sys.modules['scipy'] = None; import scipy.special")
+        assert self.python_ok(
+            "import sys, finitary.cli; sys.exit(any(m.startswith('scipy') for m in sys.modules))"
+        )
+
+    def test_cli_imports_no_numpy(self):
+        assert self.python_ok("import sys, finitary.cli; sys.exit('numpy' in sys.modules)")
+
+    def test_encode_runs_without_numpy(self):
+        argv = ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3", "--report"]
+        stdin_text = make_stream(5, 3000, 3)
+        proc = self.run_without("numpy", argv, stdin_text)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv, stdin_text)
+        assert proc.returncode == EXIT_OK and proc.stdout
 
     @pytest.mark.parametrize(
         "argv,stdin_text",
@@ -462,9 +504,39 @@ class TestRuntimeDependencies:
         ],
     )
     def test_commands_run_without_scipy(self, argv, stdin_text):
-        proc = self.run_without_scipy(argv, stdin_text)
+        proc = self.run_without("scipy", argv, stdin_text)
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv, stdin_text)
         assert proc.returncode == EXIT_OK and proc.stdout
+
+
+class TestParserIdentity:
+    # main builds only the parser of the command that argv[0] names; its
+    # help and errors must read as those of the parser of every command.
+    MALFORMED = {
+        "encode": ["--t", "x"],
+        "simulate": ["--horizon", "x"],
+        "extract": ["--a", "x"],
+        "select-t": ["--a", "x"],
+        "certify-t": ["--trials", "x"],
+        "verify-bounds": ["--kmax", "x"],
+        "analyze": ["--alpha", "x"],
+        "tails": ["--bogus"],
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], [], ["bogus"], ["encode", "--bogus"], ["select-t", "--q", "1/2,1/2"]]
+        + [[name, "-h"] for name in MALFORMED]
+        + [[name, *flags] for name, flags in MALFORMED.items()],
+    )
+    def test_reads_as_the_full_parser(self, argv, capsys):
+        code = main(argv)
+        got = (code, *capsys.readouterr())
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        full = (EXIT_OK if exc.value.code in (0, None) else EXIT_INPUT, *capsys.readouterr())
+        assert got == full
+        assert got[1] if argv[-1:] == ["-h"] else "error: " in got[2]
 
 
 class TestStdoutDiscipline:
@@ -490,6 +562,14 @@ class TrickleStdin:
     @property
     def at_eof(self):
         return self.pos == len(self.text)
+
+
+class PositionStdin(io.StringIO):
+    """stdin that knows whether it has been read to its end."""
+
+    @property
+    def at_eof(self):
+        return self.tell() == len(self.getvalue())
 
 
 class WatchingStdout(io.StringIO):
@@ -534,6 +614,20 @@ class TestEncodeStreaming:
         assert out.getvalue() == once[1] and once[1]
         # The first block resolves long before the input ends.
         assert out.first_write_at_eof is False
+
+    def test_first_write_before_a_full_size_input_ends(self):
+        # A full-size input is several reads long, so the first block's
+        # lines are written before stdin reaches its end.
+        argv, data, stream = workloads.make_input(self.SHORT, 7, 0, self.SHORT.size)
+        assert argv[:7] == ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3"]
+        text = data.decode("ascii")
+        assert len(text) > 4 * READ_SIZE
+        stdin = PositionStdin(text)
+        out, err = WatchingStdout(stdin), io.StringIO()
+        assert main(argv, stdin=stdin, stdout=out, stderr=err) == EXIT_OK
+        assert err.getvalue() == "" and out.first_write_at_eof is False
+        expected = map_range(stream, PatternConfig(3, 3), FAIR, 0, len(stream) - 1)
+        assert out.getvalue() == render(expected.blocks, "--report" in argv)
 
     def test_tokens_cut_across_pieces(self):
         # Two-digit symbols and mixed whitespace, cut every 7 characters.

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from finitary.core import ProbabilityVector, entropy
 from finitary.dyadic import DyadicCursor, TailReport, exact_symbol_law, exact_tail
 
-from oracles import FractionCursor, brute_survival, brute_symbol_law, oracle_simulate
+from oracles import FractionCursor, GcdCursor, brute_survival, brute_symbol_law, oracle_simulate
 
 F = Fraction
 FAIR = ProbabilityVector.parse("1/2,1/2")
@@ -226,6 +226,27 @@ class TestRead:
             assert c.bits_consumed == ref.bits_consumed == (pos if stop is None else stop)
             assert c.successful == ref.successful == (stop is not None)
             assert pos == (len(bits) if stop is None else stop)
+
+    def test_state_matches_full_gcd_reduction(self):
+        # Random targets of up to 5 symbols with mixed denominators, bits
+        # cut into random reads: after every read the cursor holds the
+        # state that the full gcd at every emission gives.
+        rng = random.Random("gcd")
+        for _ in range(300):
+            weights = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+            q = ProbabilityVector(tuple(w / sum(weights) for w in weights))
+            horizon = rng.randint(1, 40)
+            c, ref = DyadicCursor(q, horizon), GcdCursor(q, horizon)
+            bits = [rng.getrandbits(1) for _ in range(rng.randint(0, 300))]
+            pos = 0
+            while pos < len(bits) and not c.successful:
+                run = bits[pos : pos + rng.randint(1, 50)]
+                used = c.read("".join(map(str, run)))
+                for bit in run[:used]:
+                    ref.feed(bit)
+                pos += used
+                assert (c._left, c._width, c._scale) == ref.state
+                assert c.emitted == ref.emitted
 
 
 class TestSimulateOne:
