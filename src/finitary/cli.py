@@ -54,15 +54,16 @@ class Config:
     max_window: int = engine.DEFAULT_MAX_WINDOW
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ConfigError("a must be >= 2")
+        # PatternConfig checks a and t, so every command refuses them alike.
+        try:
+            PatternConfig(self.alphabet_size, 1 if self.marker_len is None else self.marker_len)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.marker_len is None:
             if self.entropy_gap is None:
                 raise ConfigError("eps is required when t is not set")
             if self.entropy_gap <= 0:
                 raise ConfigError("eps must be > 0")
-        if self.marker_len is not None and self.marker_len < 1:
-            raise ConfigError("t must be >= 1")
         if self.max_window < 0:
             raise ConfigError("max_window must be >= 0")
 

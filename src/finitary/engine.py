@@ -22,6 +22,20 @@ are made as they are read, so its rank walk runs only as far as the last
 simulator over it reads; when the stack empties, ``_Sweep.feed`` returns
 and drops the paused walk, with its O(t) values, unfinished.
 
+A stream may have no block that can feed its own simulator.  Two facts
+bound a block.  A pattern-free word of n symbols yields e bits with
+2^e <= a^n, since 2^e is a sub-block of its class, which holds at most a^n
+words.  And a cursor emits its h symbols only once the dyadic interval of
+the m bits it read, of width 2^-m, lies strictly inside a cell of width at
+most q_max^h, so only once 2^m q_max^h > 1.  A block of n interior symbols
+has h = n + t, so when a^n q_max^(n+t) <= 1 its simulator reads all of its
+own bits and does not finish.  When a q_max <= 1, as with a zero entropy
+gap, that holds for every n: no simulator ever finishes, so none ever
+reads past its own bits, and no output is ever determined.  Such a stream
+is found with one comparison before its first block, and its blocks are
+pushed deferred, with no bits and no cursor, so that the cap is still
+checked against the lowest of them.  No block of it is extracted.
+
 ``encode_stream`` runs the loop over a whole stream read in chunks;
 ``map_range`` runs it over the window its indices can see, from the first
 block that holds one of them until the simulators of those blocks have
@@ -83,6 +97,11 @@ class _Sweep:
     simulator's own last read, which is O(1) state per simulator: no
     position is read twice and each simulator reads in increasing order.
     A run is contiguous, so checking its first position checks all of it.
+
+    When no block of a stream can feed its own simulator (see the module
+    docstring), each is pushed by ``defer`` in place of ``feed``: its entry
+    holds no cursor and its block takes no positions.  Nothing on such a
+    stack ever finishes, so ``feed`` never meets an entry without a cursor.
     """
 
     def __init__(self, q: ProbabilityVector):
@@ -90,6 +109,11 @@ class _Sweep:
         self.pos = 0  # the next flat position
         self.last = -1  # the last position read
         self.stack: list[list] = []  # [(index, left, right), cursor, last read]
+
+    def defer(self, k: int, left: int, right: int) -> None:
+        """Push block k, the next block, between the markers at ``left`` and
+        ``right``, whose simulator cannot finish, with no cursor."""
+        self.stack.append([(k, left, right), None, -1])
 
     def feed(
         self, k: int, left: int, right: int, bits: str | _LazyBits
@@ -229,6 +253,9 @@ def _records(
     That is checked as soon as the input passes the cap of the lowest
     running block, which has the lowest cap of all.
 
+    When a q_max <= 1 no simulator can finish (see the module docstring),
+    so every block is pushed deferred and none is extracted.
+
     The state kept is the sweep's stack, whose entries carry the running
     blocks and their markers, the finished records that wait for it to
     empty, and the symbols of the block not yet closed.  The lowest running
@@ -241,6 +268,8 @@ def _records(
     t = cfg.marker_len
     cap = max_window + 1  # index i sees the symbols before i + cap
     sweep = _Sweep(q)
+    cum, den = q.scaled_cumulative
+    starved = cfg.alphabet_size * max(hi - lo for lo, hi in zip(cum, cum[1:])) <= den
     finished: list[BlockOutput] = []  # records that wait for the stack to empty
     buf: list[int] = []  # the symbols from ``base`` on
     base = received = 0
@@ -287,17 +316,21 @@ def _records(
             marker += scan_from
             if left is not None:
                 if marker >= first:
-                    word = tuple(buf[left + t - base : marker - base])
-                    for block, cursor in sweep.feed(nxt, left, marker, _lazy_bits(word, cfg)):
-                        try:
-                            record = output(block, tuple(cursor.emitted), marker + t)
-                        except WindowExhausted:
-                            check_running()  # a lower block ran past its cap first
-                            raise
-                        if record:
-                            finished.append(record)
-                    if not sweep.stack:
-                        yield from release()
+                    if starved:
+                        sweep.defer(nxt, left, marker)
+                    else:
+                        word = tuple(buf[left + t - base : marker - base])
+                        bits = _lazy_bits(word, cfg)
+                        for block, cursor in sweep.feed(nxt, left, marker, bits):
+                            try:
+                                record = output(block, tuple(cursor.emitted), marker + t)
+                            except WindowExhausted:
+                                check_running()  # a lower block ran past its cap first
+                                raise
+                            if record:
+                                finished.append(record)
+                        if not sweep.stack:
+                            yield from release()
                 nxt += 1
             left = marker
             if left >= last and (not sweep.stack or sweep.stack[0][0][1] >= last):

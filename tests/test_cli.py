@@ -54,7 +54,7 @@ class TestParseConfig:
         assert cfg.max_window == 10**6
 
     def test_alphabet_too_small(self):
-        with pytest.raises(ConfigError, match="a must be >= 2"):
+        with pytest.raises(ConfigError, match="alphabet size 1 outside 2..4096"):
             parse_config("a=1\nq=1")
 
     def test_bad_sum(self):
@@ -87,7 +87,7 @@ class TestParseConfig:
         [
             ("t=3\nseed 5", "line 4: expected key=value"),
             ("t=3\nq=1/3,2/3", "line 4: duplicate key 'q'"),
-            ("t=0", "t must be >= 1"),
+            ("t=0", "marker length must be >= 1, got 0"),
             ("eps=0", "eps must be > 0"),
             ("t=3\nmax_window=-1", "max_window must be >= 0"),
         ],
@@ -303,7 +303,7 @@ class TestSelectCommand:
         assert code == EXIT_OK and err == ""
         assert "t\t6" in out.splitlines()
 
-    @pytest.mark.parametrize("a", ["4097", "5000"])
+    @pytest.mark.parametrize("a", ["1", "4097", "5000"])
     def test_refuses_the_alphabets_encode_refuses(self, a):
         selected = run_cli(["select-t", "--q", "1/2,1/2", "--eps", "2/5", "--a", a])
         encoded = run_cli(["encode", "--a", a, "--q", "1/2,1/2", "--t", "3"], "2 1 1 3\n")
@@ -393,6 +393,22 @@ class TestCertifyCommand:
         code, out, err = run_cli(self.CERTIFY + ["--config", str(path)])
         assert code == EXIT_INPUT and out == ""
         assert err == "error: missing required key 'a'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--a", "3"],
+            CERTIFY,
+        ],
+    )
+    def test_config_alphabet_is_checked_when_read(self, tmp_path, argv):
+        # A config's a is checked as the file is parsed, against both of
+        # PatternConfig's bounds, so a flag given over it does not save it.
+        path = tmp_path / "wide.cfg"
+        path.write_text("a=5000\nq=1/2,1/2\nt=3\n")
+        code, out, err = run_cli(argv + ["--config", str(path)], "2 1 1 3\n")
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: alphabet size 5000 outside 2..4096\n"
 
     def test_long_marker_is_refused_before_sampling(self):
         # At t = 40 the first draw would hold about 2^41 symbols.
