@@ -202,19 +202,35 @@ def _pieces(stdin):
     yield decoder.decode(b"", final=True)
 
 
-def _read_symbols(stdin, stdout):
+def _read_symbols(stdin, stdout, alphabet_size: int):
     """The symbols on stdin, as one list per piece of ``_pieces``.
 
     A token cut by the end of a piece is carried into the next.  stdout is
     flushed before each read after the first, so the lines written so far
     leave while the encoder waits for input.
+
+    Once as many tokens have arrived as there are symbols, a piece's tokens
+    become symbols by lookup in a table of the spellings ``str(s)`` of the
+    symbols s of 1..a.  Building it costs about what reading the tokens
+    before it did, so a short input with a wide alphabet never pays for
+    it.  A piece with any other token, such as "01", "+2", a symbol outside
+    1..a or one that is no integer, is read by ``int`` instead, and gives
+    the symbols or the error that ``int`` gives.
     """
-    carry = ""
+    spelled: dict[str, int] = {}
+    carry, read = "", 0
     for piece in _pieces(stdin):
         text = carry + piece
         tokens = text.split()
         carry = tokens.pop() if tokens and not text[-1].isspace() else ""
-        yield list(map(int, tokens))
+        read += len(tokens)
+        if not spelled and read >= alphabet_size:
+            spelled = {str(s): s for s in range(1, alphabet_size + 1)}
+        try:
+            symbols = [spelled[token] for token in tokens]
+        except KeyError:
+            symbols = list(map(int, tokens))
+        yield symbols
         stdout.flush()
     if carry:
         yield [int(carry)]
@@ -228,7 +244,7 @@ def _cmd_encode(args, stdin, stdout) -> int:
             config.target, config.entropy_gap, config.alphabet_size
         )
     cfg = PatternConfig(config.alphabet_size, t)
-    symbols = _read_symbols(stdin, stdout)
+    symbols = _read_symbols(stdin, stdout, cfg.alphabet_size)
     for blk in engine.encode_stream(symbols, cfg, config.target, config.max_window):
         if args.report:
             left, right, indices = blk.left_marker, blk.right_extent, blk.indices

@@ -32,9 +32,10 @@ has h = n + t, so when a^n q_max^(n+t) <= 1 its simulator reads all of its
 own bits and does not finish.  When a q_max <= 1, as with a zero entropy
 gap, that holds for every n: no simulator ever finishes, so none ever
 reads past its own bits, and no output is ever determined.  Such a stream
-is found with one comparison before its first block, and its blocks are
-pushed deferred, with no bits and no cursor, so that the cap is still
-checked against the lowest of them.  No block of it is extracted.
+is found with one comparison before its first block.  Only the cap of its
+lowest block is ever checked, so that block alone is kept, with no bits
+and no cursor, and the rest of the stream is only counted: no block of it
+is extracted, and no chunk after the one that closes that block is scanned.
 
 ``encode_stream`` runs the loop over a whole stream read in chunks;
 ``map_range`` runs it over the window its indices can see, from the first
@@ -97,11 +98,6 @@ class _Sweep:
     simulator's own last read, which is O(1) state per simulator: no
     position is read twice and each simulator reads in increasing order.
     A run is contiguous, so checking its first position checks all of it.
-
-    When no block of a stream can feed its own simulator (see the module
-    docstring), each is pushed by ``defer`` in place of ``feed``: its entry
-    holds no cursor and its block takes no positions.  Nothing on such a
-    stack ever finishes, so ``feed`` never meets an entry without a cursor.
     """
 
     def __init__(self, q: ProbabilityVector):
@@ -109,11 +105,6 @@ class _Sweep:
         self.pos = 0  # the next flat position
         self.last = -1  # the last position read
         self.stack: list[list] = []  # [(index, left, right), cursor, last read]
-
-    def defer(self, k: int, left: int, right: int) -> None:
-        """Push block k, the next block, between the markers at ``left`` and
-        ``right``, whose simulator cannot finish, with no cursor."""
-        self.stack.append([(k, left, right), None, -1])
 
     def feed(
         self, k: int, left: int, right: int, bits: str | _LazyBits
@@ -253,8 +244,10 @@ def _records(
     That is checked as soon as the input passes the cap of the lowest
     running block, which has the lowest cap of all.
 
-    When a q_max <= 1 no simulator can finish (see the module docstring),
-    so every block is pushed deferred and none is extracted.
+    When a q_max <= 1 no simulator can finish (see the module docstring).
+    The lowest block is then the one entry the stack ever gets, with no
+    cursor, and every chunk after the one that closes it is only counted
+    and checked against that block's cap.
 
     The state kept is the sweep's stack, whose entries carry the running
     blocks and their markers, the finished records that wait for it to
@@ -309,6 +302,10 @@ def _records(
         finished.clear()
 
     for symbols in chunks:
+        if starved and sweep.stack:
+            received += len(symbols)
+            check_running()
+            continue
         scan_from = max(received - t + 1, 0)  # where a marker may start unseen
         buf.extend(symbols)
         received += len(symbols)
@@ -316,21 +313,22 @@ def _records(
             marker += scan_from
             if left is not None:
                 if marker >= first:
-                    if starved:
-                        sweep.defer(nxt, left, marker)
-                    else:
-                        word = tuple(buf[left + t - base : marker - base])
-                        bits = _lazy_bits(word, cfg)
-                        for block, cursor in sweep.feed(nxt, left, marker, bits):
-                            try:
-                                record = output(block, tuple(cursor.emitted), marker + t)
-                            except WindowExhausted:
-                                check_running()  # a lower block ran past its cap first
-                                raise
-                            if record:
-                                finished.append(record)
-                        if not sweep.stack:
-                            yield from release()
+                    if starved:  # no cursor, and no more markers
+                        sweep.stack.append([(nxt, left, marker), None, -1])
+                        buf.clear()
+                        break
+                    word = tuple(buf[left + t - base : marker - base])
+                    bits = _lazy_bits(word, cfg)
+                    for block, cursor in sweep.feed(nxt, left, marker, bits):
+                        try:
+                            record = output(block, tuple(cursor.emitted), marker + t)
+                        except WindowExhausted:
+                            check_running()  # a lower block ran past its cap first
+                            raise
+                        if record:
+                            finished.append(record)
+                    if not sweep.stack:
+                        yield from release()
                 nxt += 1
             left = marker
             if left >= last and (not sweep.stack or sweep.stack[0][0][1] >= last):

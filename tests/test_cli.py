@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -226,6 +227,90 @@ class TestEncodeCommand:
         code, out, _ = run_cli(["encode", "--a", "2", "--q", "1/2,1/2", "--t", "3"], "")
         assert code == EXIT_OK and out == ""
 
+
+# The argv of ``encode`` for each alphabet that the token tests read.
+TOKEN_ARGV = {
+    2: ["encode", "--a", "2", "--q", "1/4,3/4", "--t", "4", "--report"],
+    3: ["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3", "--report"],
+    4096: ["encode", "--a", "4096", "--q", "1/2,1/2", "--t", "2", "--report"],
+}
+# Spellings that ``int`` reads as a symbol, as one outside 1..a and as
+# no integer; "{a+1}" stands for the symbol a + 1.
+SPELLINGS = [
+    "2", "01", "+2", "\uff12", "\u0662", "0", "-1", "{a+1}", "12345678901234567890", "x", "1.0"
+]
+
+
+def token_text(a, spelling, cut):
+    """5,000 seeded symbols of 1..a, a third each 1 and 2, with ``spelling``
+    in place of one of them: the 4,601st, or, when ``cut``, the one that
+    starts at the last character of the first 2 READ_SIZE characters.  The
+    piece of input that completes either holds the 4,096th token, so by
+    then ``encode`` reads tokens by table lookup at every a here."""
+    rng = random.Random(a)
+    tokens = [str(rng.choice([1, 2, rng.randint(1, a)])) for _ in range(5_000)]
+    spelling = spelling.replace("{a+1}", str(a + 1))
+    if not cut:
+        tokens[4_600] = spelling
+        return " ".join(tokens)
+    k = 0
+    while len(" ".join(tokens[: k + 1])) <= 2 * READ_SIZE - 2:
+        k += 1
+    head = " ".join(tokens[:k]).ljust(2 * READ_SIZE - 1)
+    return head + spelling + " " + " ".join(tokens[k + 1 :])
+
+
+# The first 16 hex digits of the sha256 of the stdout that ``token_text``
+# gives for a canonical symbol s in place of the spelling, by (a, cut, s),
+# and the position of the token that ``cut`` places.  A token that ``int``
+# reads as a symbol s of 1..a gives the stdout of s, and any other token
+# ends the command at exit 1 with nothing on stdout, as when ``int`` read
+# every token.
+TOKEN_DIGESTS = {
+    (2, False, 1): "2341191baf5e682f", (2, False, 2): "2341191baf5e682f",
+    (2, True, 1): "2341191baf5e682f", (2, True, 2): "2341191baf5e682f",
+    (3, False, 1): "772bb64048f89702", (3, False, 2): "772bb64048f89702",
+    (3, True, 1): "772bb64048f89702", (3, True, 2): "772bb64048f89702",
+    (4096, False, 1): "6bc5cdafed590848", (4096, False, 2): "6bc5cdafed590848",
+    (4096, True, 1): "f4ba0ce4dc8153bc", (4096, True, 2): "03dafb37a7e954fc",
+}
+EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()[:16]
+CUT_POSITIONS = {2: 4095, 3: 4095, 4096: 2805}
+
+
+def token_outcome(a, spelling, cut):
+    """The exit code, stdout digest and stderr of ``token_text``'s input."""
+    spelling = spelling.replace("{a+1}", str(a + 1))
+    position = CUT_POSITIONS[a] if cut else 4_600
+    try:
+        s = int(spelling)
+    except ValueError:
+        err = f"error: invalid literal for int() with base 10: {spelling!r}\n"
+        return EXIT_INPUT, EMPTY_DIGEST, err
+    if 1 <= s <= a:
+        return EXIT_OK, TOKEN_DIGESTS[a, cut, s], ""
+    err = f"error: symbol {s} at position {position} outside 1..{a}\n"
+    return EXIT_INPUT, EMPTY_DIGEST, err
+
+
+class TestTokenTable:
+    """``encode`` reads canonical tokens by table lookup and every other
+    token by ``int``, with the same stdout, stderr and exit code as a
+    reader that uses ``int`` for all of them."""
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["inside", "cut"])
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize("a", sorted(TOKEN_ARGV))
+    def test_outcome_is_pinned(self, a, spelling, cut):
+        code, out, err = run_cli(TOKEN_ARGV[a], token_text(a, spelling, cut))
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert (code, digest, err) == token_outcome(a, spelling, cut)
+
+    def test_cut_token_straddles_a_read(self):
+        for a in TOKEN_ARGV:
+            text = token_text(a, "12345678901234567890", True)
+            assert text[2 * READ_SIZE - 1 : 2 * READ_SIZE + 19] == "12345678901234567890"
+            assert len(text[: 3 * READ_SIZE].split()) > 4_096
 
 def long_blocks_stream(seed, blocks, t):
     """A stream over {1, 2, 3} of ``blocks`` blocks of 40 to 120 symbols
