@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-# numpy is imported by the four functions that use it, so that importing
+# numpy is imported by the three functions that use it, so that importing
 # the package, as every command does, loads none.
 if TYPE_CHECKING:
     import numpy as np
@@ -44,24 +44,10 @@ _MAX_TAIL_SPAN = 1 << 22
 
 
 def expected_block_length(p: ProbabilityVector, t: int) -> Fraction:
-    """Exact mean distance between consecutive markers: 1/(p(2) p(1)^(t-1))."""
-    if p.size < 2:
-        raise ValueError("marker pattern needs symbols 1 and 2")
-    if t < 1:
-        raise ValueError("marker length must be >= 1")
+    """Exact mean distance between consecutive markers: 1/(p(2) p(1)^(t-1)).
+    ``PatternConfig`` checks the alphabet size of p and t."""
+    PatternConfig(p.size, t)
     return 1 / (p.prob(2) * p.prob(1) ** (t - 1))
-
-
-def sample_symbols(p: ProbabilityVector, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact i.i.d. sample of ``count`` symbols 1..len(p): a uniform integer
-    below the common denominator, placed among the scaled cumulative sums."""
-    import numpy as np
-
-    cum, den = p.scaled_cumulative
-    if den >= 2**63:
-        raise ValueError("denominators too large for integer sampling")
-    draws = rng.integers(0, den, size=count)
-    return (np.searchsorted(cum[1:], draws, side="right") + 1).astype(np.int64)
 
 
 def sample_blocks(
@@ -72,15 +58,17 @@ def sample_blocks(
 ) -> tuple[np.ndarray, list[bytes] | list[list[int]]]:
     """Sample ``count`` i.i.d. non-central blocks of the marker process.
 
-    Draws a p-stream and takes the stretches between consecutive marker
-    occurrences; returns (block lengths, interior words).  When the source
-    fits in a byte (fewer than 256 symbols), the draw becomes one byte per
-    symbol once, the markers are scanned in those bytes, and each word is a
-    ``bytes`` slice of them; otherwise each word is a list of ints, a slice
-    of the draw as one list.  Deterministic given the seed.  Gives up after
-    64 times the expected number of symbols (plus slack) without ``count``
-    blocks.  Raises ValueError before drawing when the first draw would
-    hold more than ``_MAX_DRAW`` symbols.
+    Draws a p-stream, each symbol exactly: a uniform integer below the
+    common denominator, placed among the scaled cumulative sums.  Takes the
+    stretches between consecutive marker occurrences; returns (block
+    lengths, interior words).  When the source fits in a byte (fewer than
+    256 symbols), the draw becomes one byte per symbol once, the markers are
+    scanned in those bytes, and each word is a ``bytes`` slice of them;
+    otherwise each word is a list of ints, a slice of the draw as one list.
+    Deterministic given the seed.  Gives up after 64 times the expected
+    number of symbols (plus slack) without ``count`` blocks.  Raises
+    ValueError before drawing when the first draw would hold more than
+    ``_MAX_DRAW`` symbols, or the denominator is 2^63 or more.
     """
     import numpy as np
 
@@ -95,11 +83,17 @@ def sample_blocks(
     e_lam = float(lam)
     cap = int(64 * (count + 16) * e_lam) + 4096
     cfg = PatternConfig(p.size, t)
+    cum, den = p.scaled_cumulative
+    if den >= 2**63:
+        raise ValueError("denominators too large for integer sampling")
     rng = np.random.Generator(np.random.PCG64(seed))
     buf = np.empty(0, dtype=np.int64)
     while True:
         chunk = max(4096, int(e_lam * (count + 8) * 1.25) + 1024 - len(buf))
-        buf = np.concatenate([buf, sample_symbols(p, chunk, rng)])
+        draws = rng.integers(0, den, size=chunk)
+        symbols = (np.searchsorted(cum[1:], draws, side="right") + 1).astype(np.int64)
+        buf = np.concatenate([buf, symbols])
+        del draws, symbols  # freed before the byte copies of buf below
         data = buf.astype(np.uint8).tobytes() if p.size < 256 else buf.tolist()
         markers = scan_markers(data, cfg)
         if len(markers) >= count + 1:
@@ -146,10 +140,6 @@ class CertificationReport:
         if self.margin < -3 * self.stderr_bits:
             return "fail"
         return "inconclusive"
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 def certify_marker_length(
@@ -215,14 +205,13 @@ def select_marker_length(
     length is then at least u_min(t) = (1-delta)^-(t-1).  t is accepted when
     the surplus at u_min clears one bit and keeps growing beyond it
     (u_min >= (a+1)/epsilon).  Conservative by construction; the empirical
-    certifier is the authoritative check.  Raises RuntimeError when no t up
-    to 512 is accepted.
+    certifier is the authoritative check.  ``PatternConfig`` checks the
+    alphabet size.  Raises RuntimeError when no t up to 512 is accepted.
     """
+    PatternConfig(alphabet_size, 1)
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("entropy gap must be positive")
-    if alphabet_size < 2:
-        raise ValueError("alphabet size must be >= 2")
     target = entropy(q) + eps
     log_a = math.log(alphabet_size)
     if target >= log_a - 1e-12:

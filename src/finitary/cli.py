@@ -37,7 +37,17 @@ EXIT_VERIFY = 3
 
 READ_SIZE = 1 << 12  # most bytes of stdin that ``encode`` reads at a time
 
-_CONFIG_KEYS = {"a", "q", "eps", "t", "seed", "max_window"}
+# Each config key, which is also the dest of its ``encode`` flag, with its
+# Config field and the reader of its text.  ``int`` returns an int flag that
+# argparse has already read as it is.
+_CONFIG_KEYS = {
+    "a": ("alphabet_size", int),
+    "q": ("target", ProbabilityVector.parse),
+    "eps": ("entropy_gap", parse_rational),
+    "t": ("marker_len", int),
+    "seed": ("seed", int),
+    "max_window": ("max_window", int),
+}
 
 
 class ConfigError(ValueError):
@@ -87,27 +97,20 @@ def parse_config(text: str) -> Config:
     for required in ("a", "q"):
         if required not in fields:
             raise ConfigError(f"missing required key {required!r}")
+    return Config(**_config_fields(fields))
+
+
+def _config_fields(values: dict) -> dict:
+    """The Config fields of the keys of ``values`` that are not None, each
+    read by its reader, in the order of ``_CONFIG_KEYS``."""
+    fields = {}
     try:
-        alphabet_size = int(fields["a"])
-        target = ProbabilityVector.parse(fields["q"])
-        gap = parse_rational(fields["eps"]) if "eps" in fields else None
-        marker = int(fields["t"]) if "t" in fields else None
-        seed = int(fields["seed"]) if "seed" in fields else None
-        max_window = (
-            int(fields["max_window"])
-            if "max_window" in fields
-            else engine.DEFAULT_MAX_WINDOW
-        )
+        for key, (field, read) in _CONFIG_KEYS.items():
+            if values.get(key) is not None:
+                fields[field] = read(values[key])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return Config(
-        alphabet_size=alphabet_size,
-        target=target,
-        entropy_gap=gap,
-        marker_len=marker,
-        seed=seed,
-        max_window=max_window,
-    )
+    return fields
 
 
 def _report(out, **fields) -> None:
@@ -164,17 +167,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _merge_encode_config(args) -> Config:
     """The config file, if any, with the flags that were given over it."""
     config = _load_config(args)
-    flags = {}
-    if args.a is not None:
-        flags["alphabet_size"] = args.a
-    if args.q is not None:
-        flags["target"] = ProbabilityVector.parse(args.q)
-    if args.eps is not None:
-        flags["entropy_gap"] = parse_rational(args.eps)
-    if args.t is not None:
-        flags["marker_len"] = args.t
-    if args.max_window is not None:
-        flags["max_window"] = args.max_window
+    flags = _config_fields(vars(args))
     if config is not None:
         return replace(config, **flags)
     if "alphabet_size" not in flags or "target" not in flags:
@@ -287,7 +280,6 @@ def _cmd_extract(args, stdin, stdout) -> int:
 def _cmd_select_t(args, stdin, stdout) -> int:
     q = ProbabilityVector.parse(args.q)
     eps = parse_rational(args.eps)
-    PatternConfig(args.a, 1)  # refuses the alphabets that ``encode`` refuses
     t = calibration.select_marker_length(q, eps, args.a)
     _report(stdout, t=t, a=args.a, eps=eps, q=args.q)
     return EXIT_OK

@@ -155,7 +155,10 @@ class CodingReport:
     block: int
     left_marker: int
     right_extent: int
-    radius: int
+
+    @property
+    def radius(self) -> int:
+        return max(self.index - self.left_marker, self.right_extent - self.index)
 
 
 @dataclass(frozen=True)
@@ -187,12 +190,11 @@ class MapResult:
 
     @cached_property
     def reports(self) -> dict[int, CodingReport]:
-        out = {}
-        for b in self.blocks:
-            left, right = b.left_marker, b.right_extent
-            for i in b.indices:
-                out[i] = CodingReport(i, b.block, left, right, max(i - left, right - i))
-        return out
+        return {
+            i: CodingReport(i, b.block, b.left_marker, b.right_extent)
+            for b in self.blocks
+            for i in b.indices
+        }
 
 
 def _checked(chunks: Iterable[Sequence[int]], alphabet_size: int) -> Iterator[SymbolWord]:

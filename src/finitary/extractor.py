@@ -50,10 +50,9 @@ bit once both ends of the interval agree on it, since enumerative coding
 fixes the top of the rank from the prefix alone.  So the engine's sweep
 runs a block's walk only as far as its simulators read, and a paused walk
 holds O(t) values.  A narrow word is ranked by the term loop run to its
-end, one final checkpoint, and its bits are a plain string; ``_extract_bits``
-is the join of either.  On a wide word ``_bit_count`` tries t term-loop
-steps and then draws the window walk up to the checkpoint that settles the
-count.
+end, one final checkpoint, and its bits are a plain string; ``extract``
+joins either.  On a wide word ``_bit_count`` tries t term-loop steps and
+then draws the window walk up to the checkpoint that settles the count.
 
 The inverse, ``unrank_in_class``, is the window walk given a target rank,
 for every word and every t.  At each position the window already holds
@@ -100,10 +99,6 @@ class PatternConfig:
             raise ValueError(f"alphabet size {self.alphabet_size} outside 2..{_MAX_ALPHABET}")
         if self.marker_len < 1:
             raise ValueError(f"marker length must be >= 1, got {self.marker_len}")
-
-    @property
-    def pattern(self) -> SymbolWord:
-        return (2,) + (1,) * (self.marker_len - 1)
 
 
 def scan_markers(segment: Sequence[int], cfg: PatternConfig) -> list[int]:
@@ -485,19 +480,6 @@ def _counts(word: SymbolWord, cfg: PatternConfig) -> tuple[int, ...]:
     return tuple(map(word.count, range(1, cfg.alphabet_size + 1)))
 
 
-def _rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
-    """``(rank, class size)`` of a validated word with count vector
-    ``counts``: by the window walk drawn to its end when ``_wide``, else by
-    the term loop run to its end."""
-    if not _wide(counts, t):
-        return _term_rank(word, counts, t)
-    walk = _window_walk(word, counts, t)
-    size = next(walk)[1]
-    for rank, _ in walk:
-        pass
-    return rank, size
-
-
 def _term_rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, int]:
     """``(rank, class size)`` by the term loop run to its end."""
     terms = _terms(counts, t)
@@ -509,12 +491,18 @@ def _term_rank(word: SymbolWord, counts: tuple[int, ...], t: int) -> tuple[int, 
 
 def rank_in_class(word: SymbolWord, cfg: PatternConfig) -> int:
     """1-based lexicographic rank of ``word`` among pattern-free words with
-    the same count vector.  Raises ValueError when ``scan_markers`` finds
-    the marker in the word."""
+    the same count vector: by the window walk drawn to its end when
+    ``_wide``, else by the term loop run to its end.  Raises ValueError when
+    ``scan_markers`` finds the marker in the word."""
     word = check_word(word, cfg.alphabet_size)
     if scan_markers(word, cfg):
         raise ValueError("word contains the marker pattern")
-    return _rank(word, _counts(word, cfg), cfg.marker_len)[0]
+    counts, t = _counts(word, cfg), cfg.marker_len
+    if not _wide(counts, t):
+        return _term_rank(word, counts, t)[0]
+    for rank, _ in _window_walk(word, counts, t):
+        pass
+    return rank
 
 
 def unrank_in_class(m: tuple[int, ...], cfg: PatternConfig, rank: int) -> SymbolWord:
@@ -611,7 +599,7 @@ def extract(word: SymbolWord, cfg: PatternConfig) -> ExtractionTriple:
     if scan_markers(word, cfg):
         raise ValueError("word contains the marker pattern")
     counts = _counts(word, cfg)
-    return ExtractionTriple(_extract_bits(word, cfg, counts), class_index(counts))
+    return ExtractionTriple("".join(_lazy_bits(word, cfg, counts)), class_index(counts))
 
 
 class _LazyBits:
@@ -674,13 +662,6 @@ def _lazy_bits(
     rank, size = _term_rank(word, counts, t)
     e, offset = _sub_block(size, rank)
     return format(offset, f"0{e}b") if e else ""
-
-
-def _extract_bits(
-    word: SymbolWord, cfg: PatternConfig, counts: tuple[int, ...] | None = None
-) -> str:
-    """All of ``_lazy_bits(word, cfg, counts)``, as one string."""
-    return "".join(_lazy_bits(word, cfg, counts))
 
 
 def _bit_count(word: SymbolWord, cfg: PatternConfig) -> int:

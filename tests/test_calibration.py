@@ -20,7 +20,7 @@ from finitary.calibration import (
 )
 from finitary.core import ProbabilityVector
 from finitary.dyadic import exact_tail
-from finitary.extractor import PatternConfig, _bit_count, _extract_bits, extract
+from finitary.extractor import PatternConfig, _bit_count, extract
 
 from oracles import verify_extractor
 
@@ -52,6 +52,29 @@ class TestExpectedBlockLength:
     def test_requires_two_symbols(self):
         with pytest.raises(ValueError):
             expected_block_length(ProbabilityVector.parse("1"), 2)
+
+
+@pytest.mark.parametrize(
+    "a,t,message",
+    [
+        (1, 3, "alphabet size 1 outside 2..4096"),
+        (4097, 3, "alphabet size 4097 outside 2..4096"),
+        (3, 0, "marker length must be >= 1, got 0"),
+    ],
+)
+def test_pattern_config_checks_a_and_t(a, t, message):
+    # PatternConfig is the one check of a and t, so the calibration refuses
+    # what every command refuses, in the same words.
+    with pytest.raises(ValueError) as refused:
+        PatternConfig(a, t)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        expected_block_length(ProbabilityVector((F(1, a),) * a), t)
+    assert str(refused.value) == message
+    if t >= 1:
+        with pytest.raises(ValueError) as refused:
+            select_marker_length(FAIR, F(2, 5), a)
+        assert str(refused.value) == message
 
 
 class TestSampleBlocks:
@@ -117,7 +140,7 @@ class TestSampleBlocks:
 class TestCertify:
     def test_healthy_gap_passes(self):
         rep = certify_marker_length(UNIF3, FAIR, 4, 2000, seed=11)
-        assert rep.status == "pass" and rep.passed
+        assert rep.status == "pass"
         assert rep.margin > 3 * rep.stderr_bits
         assert rep.expected_block_len == 81
 
@@ -152,7 +175,6 @@ class TestCertify:
         )
         assert rep.margin == mean_bits - 10.0
         assert rep.status == status
-        assert rep.passed == (status == "pass")
 
     @pytest.mark.parametrize(
         "p,t,trials,seed",
@@ -212,7 +234,7 @@ class TestBitCountOnSampledWords:
                     with monkeypatch.context() as m:
                         m.setattr(extractor, "_window_walk", counted)
                         n = _bit_count(w, cfg)
-                    assert n == _bit_count(tuple(w), cfg) == len(_extract_bits(tuple(w), cfg))
+                    assert n == _bit_count(tuple(w), cfg) == extract(tuple(w), cfg).num_bits
         assert sorted(walks) == [5, 6, 6]
 
 

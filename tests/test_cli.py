@@ -228,6 +228,48 @@ class TestEncodeCommand:
         assert code == EXIT_OK and out == ""
 
 
+class TestConfigKeys:
+    """``encode`` reads each key of a config file as it reads the same value
+    given as a flag over a config, whether the value is taken or refused."""
+
+    BASE = {"a": "3", "q": "1/2,1/2", "eps": "2/5", "max_window": "1000000"}
+    # A markerless run at the end keeps block 5 open past a small cap.
+    STREAM = make_stream(9, 20_000, 3) + " 3" * 3_000
+
+    @pytest.mark.parametrize(
+        "key,value,code",
+        [
+            ("a", "4", EXIT_OK),
+            ("a", "5000", EXIT_INPUT),
+            ("q", "1/3,2/3", EXIT_OK),
+            ("q", "1/2,1/3", EXIT_INPUT),
+            ("eps", "1/5", EXIT_OK),
+            ("eps", "1/2", EXIT_INPUT),
+            ("eps", "0", EXIT_INPUT),
+            ("t", "3", EXIT_OK),
+            ("t", "0", EXIT_INPUT),
+            ("max_window", "40", EXIT_WINDOW),
+            ("max_window", "-1", EXIT_INPUT),
+        ],
+    )
+    def test_key_reads_as_its_flag(self, tmp_path, key, value, code):
+        def config(name, fields):
+            path = tmp_path / name
+            path.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+            return str(path)
+
+        from_config = run_cli(
+            ["encode", "--config", config("key.cfg", {**self.BASE, key: value})], self.STREAM
+        )
+        flag = "--" + key.replace("_", "-")
+        from_flag = run_cli(
+            ["encode", "--config", config("base.cfg", self.BASE), flag, value], self.STREAM
+        )
+        assert from_config == from_flag
+        assert from_config[0] == code
+        assert (code == EXIT_OK) == (from_config[2] == "")
+
+
 # The argv of ``encode`` for each alphabet that the token tests read.
 TOKEN_ARGV = {
     2: ["encode", "--a", "2", "--q", "1/4,3/4", "--t", "4", "--report"],

@@ -22,7 +22,7 @@ from finitary.engine import (
     map_range,
     scan_markers,
 )
-from finitary.extractor import PatternConfig, _extract_bits, extract
+from finitary.extractor import PatternConfig, extract
 
 from oracles import FractionCursor, naive_blocks, naive_map, naive_schedule
 
@@ -763,7 +763,7 @@ class TestStarvedStreams:
         while marks := scan_markers(word, cfg):
             for i in marks:
                 word[i] = 1  # one 2 fewer, so this ends
-        bits = _extract_bits(tuple(word), cfg)
+        bits = extract(tuple(word), cfg).bits
         h = len(word) + t
         assert 2 ** len(bits) * p**h <= den**h
         cursor = DyadicCursor(q, h)

@@ -42,10 +42,6 @@ CFG23 = PatternConfig(2, 3)
 
 
 class TestConfig:
-    def test_pattern_shape(self):
-        assert PatternConfig(2, 3).pattern == (2, 1, 1)
-        assert PatternConfig(3, 1).pattern == (2,)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PatternConfig(1, 3)
@@ -354,7 +350,7 @@ class TestAgainstNaiveRanker:
         def refuse(*args, **kwargs):
             raise AssertionError("the rank walk was called")
 
-        for name in ("_wide", "_term_walk", "_rank"):
+        for name in ("_wide", "_term_walk", "_term_rank"):
             monkeypatch.setattr(extractor, name, refuse)
         with pytest.raises(AssertionError, match="rank walk"):
             rank_in_class((1, 2, 1), PatternConfig(a, 3))
@@ -949,7 +945,7 @@ class TestLazyBits:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extractor, "_wide", _never_wide)
             expected = extract(word, cfg).bits
-        assert extract(word, cfg).bits == extractor._extract_bits(word, cfg) == expected
+        assert extract(word, cfg).bits == expected
         assert isinstance(_lazy_bits(word, cfg), str) != extractor._wide(counts, t)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extractor, "_FLUSH_BITS", flush)
@@ -1004,7 +1000,7 @@ def test_window_walk_memory_is_bounded():
     assert extractor._wide(count_vector(word, 3), 3)
     tracemalloc.start()
     try:
-        extractor._extract_bits(word, cfg)
+        "".join(_lazy_bits(word, cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
