@@ -8,23 +8,30 @@ and exits with nothing on stderr, with 0, or its own code if it had already
 finished.
 Reports are TAB-separated key/value lines.
 
-``main`` builds the parser of the command that its first argument names,
-from that command's entry in ``_COMMANDS``, and the parser of all eight
-only when the first argument names none (``-h``, no argument, an unknown
-word); both print the same usage, help and errors.  ``encode`` reads stdin
-READ_SIZE bytes at a time, so its first block goes out after at most that
-much input is tokenized.
+``main`` reads a well-formed command line itself, from the entry in
+``_COMMANDS`` of the command that its first argument names: one that gives
+only that command's own flags, each spelled in full and given once, with a
+value that does not start with "-" and that the flag's ``type`` reads, and
+every required flag.  It gives the same namespace that argparse would, and
+does not import argparse.  Any other command line (``-h``, no command or an
+unknown one, an abbreviation, ``--flag=value``, a repeated flag, a missing
+or dash-led value, a value its ``type`` refuses, a missing required flag)
+goes to argparse: ``main`` builds the parser of the command that the first
+argument names, and the parser of all eight only when it names none; both
+print the same usage, help and errors.  ``encode`` reads stdin READ_SIZE
+bytes at a time, so its first block goes out after at most that much input
+is tokenized.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 from . import calibration, dyadic, engine
 from .core import ProbabilityVector, parse_bits, parse_rational, parse_word
@@ -140,7 +147,43 @@ def _load_config(args) -> Config | None:
         return parse_config(fh.read())
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``_build_parser().parse_args(argv)`` gives a
+    well-formed command line (see the module docstring), or None for any
+    other."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = dict(_COMMANDS[argv[0]][2])
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        options = arguments.get(flag)
+        if options is None or flag in given:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            given[flag] = options.get("type", str)(value)
+        except ValueError:
+            return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, options in arguments.items():
+        if flag in given:
+            value = given[flag]
+        elif options.get("required"):
+            return None
+        else:
+            switch = options.get("action") == "store_true"
+            value = options.get("default", False if switch else None)
+        setattr(args, options.get("dest", flag[2:].replace("-", "_")), value)
+    return args
+
+
+def _build_parser(command: str | None = None):
     """The parser of ``command`` alone, or of every command when it is None.
 
     The one-command parser lists all eight names in its usage line, so its
@@ -149,6 +192,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for a missing or unknown command call the argument "command", and a
     metavar would replace that name.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="finitary",
         description="Finitary stream transform and its verification tools.",
@@ -422,11 +467,13 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    args = _read_argv(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     code = EXIT_OK
     try:
         code = _COMMANDS[args.command][0](args, stdin, stdout)

@@ -273,13 +273,16 @@ def _extend(g: list[int], top: int, s: int, c: int, k: int) -> None:
 
 def _window(top: int, s: int, c: int, k: int, big_m: int) -> list[int]:
     """The window G(top-s), ..., G(top) of a suffix with c twos, k symbols
-    other than 1 and G(0) = ``big_m``: ``top`` forward steps from G(-s),
-    ..., G(-1) = 0, with s+1 values kept."""
-    g = [0] * s + [big_m]
+    other than 1 and G(0) = ``big_m``: ``top`` forward steps from f(-s),
+    ..., f(-1) = 0 and f(0) = 1, with s+1 values kept, each then multiplied
+    by ``big_m``.  That is exact, since the recurrence is linear and f is
+    integral, and the steps work on f's integers, which are narrower than
+    G's."""
+    g = [0] * s + [1]
     for n in range(top):
         _extend(g, n, s, c, k)
         del g[0]
-    return g
+    return [big_m * u for u in g]
 
 
 def _window_walk(
@@ -298,8 +301,9 @@ def _window_walk(
         (n+1) f(n+1) = (n+e) f(n) + (n-s+1-cs) f(n-s+1) + (cs-e-n+s) f(n-s),
 
     so ``_window`` seeds ``g`` by m_1 forward steps from f(0) = 1 and f(n) =
-    0 below 0.  Its top, G(m_1), is the class size, counted without the
-    inclusion-exclusion terms.
+    0 below 0, and multiplies the s+1 values it keeps by M once.  Its top,
+    G(m_1), is the class size, counted without the inclusion-exclusion
+    terms.
 
     A symbol above 1 adds G(m_1-1) to the rank, less G(m_1-s+j) when the
     last symbol other than 1 was a 2 followed by j ones; a symbol above 2

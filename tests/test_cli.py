@@ -6,11 +6,13 @@ import select
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finitary.cli import (
     EXIT_INPUT,
@@ -18,8 +20,10 @@ from finitary.cli import (
     EXIT_VERIFY,
     EXIT_WINDOW,
     READ_SIZE,
+    _COMMANDS,
     ConfigError,
     _build_parser,
+    _read_argv,
     main,
     parse_config,
 )
@@ -179,6 +183,95 @@ class TestHostileSizes:
 def make_stream(seed, size, alphabet):
     rng = np.random.Generator(np.random.PCG64(seed))
     return " ".join(str(v) for v in rng.integers(1, alphabet + 1, size=size))
+
+
+# Values that each flag takes, and values of each kind that a flag's reader
+# or its command refuses.  Integers stay small, so that every command line
+# runs in well under a second.  ``--config`` names no file, so it is only
+# ever a slip.
+GOOD = {
+    "--a": ["3", "2"],
+    "--t": ["3", "2"],
+    "--q": ["1/2,1/2", "1/3,2/3"],
+    "--p": ["1/2,1/4,1/4", "1/2,1/2"],
+    "--eps": ["2/5", "1/10"],
+    "--max-window": ["100000", "40"],
+    "--horizon": ["2", "1"],
+    "--word": ["1 1 2", "1 3 1"],
+    "--trials": ["20", "3"],
+    "--seed": ["7", "0"],
+    "--kmax": ["20", "6"],
+    "--alpha": ["0.5", "1e-3"],
+}
+REFUSED = {
+    int: ["0", "6", " 4", "１", "x", "1.5", ""],
+    float: ["nan", "x", ""],
+    None: ["1/2,1/3", "0", "x", "", "missing.cfg", "."],
+}
+DASHED = ["-1", "-x", "-1/2", "-", "--", "-h", "--a"]
+EXTRA_WORDS = [["extra"], ["-h"], ["--help"], ["--bogus", "1"], ["encode"], ["--p", "1/2,1/2"]]
+
+
+@st.composite
+def command_lines(draw, dashed):
+    """A command line of some of a command's flags, each with a value it
+    takes, in any order, and up to three slips: another value (refused or,
+    if ``dashed``, one that starts with "-"), a flag repeated or left
+    without its value, ``--flag=value``, an abbreviation, or an extra word.
+    Now and then there is no command, an unknown one or "-h" instead."""
+    name = draw(st.sampled_from([*_COMMANDS, *_COMMANDS, "bogus", "-h", None]))
+    if name not in _COMMANDS:
+        return [] if name is None else [name]
+    arguments = _COMMANDS[name][2]
+    words = []
+    for flag, options in draw(st.permutations(arguments)):
+        if options.get("action"):
+            words += [flag] * draw(st.booleans())
+        elif flag in GOOD and draw(st.integers(0, 3)) < 3:
+            words += [flag, draw(st.sampled_from(GOOD[flag]))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3])) if arguments else 0):
+        flag, options = draw(st.sampled_from(arguments))
+        values = [*GOOD.get(flag, []), *REFUSED[options.get("type")], *DASHED * dashed]
+        value = draw(st.sampled_from(values))
+        # "-", "--", the shortest prefix past "--" and the longest: the
+        # first two and simulate's "--h" are ambiguous.
+        short = flag[: draw(st.sampled_from(sorted({1, 2, min(3, len(flag) - 1), len(flag) - 1})))]
+        slip = draw(st.sampled_from([
+            [flag, value], [flag], [f"{flag}={value}"], [short, value], *EXTRA_WORDS
+        ]))
+        if slip[0] == short and flag in words:
+            words[words.index(flag)] = short  # the flag given, abbreviated
+        else:
+            at = draw(st.integers(0, len(words)))
+            words[at:at] = slip
+    return [name, *words]
+
+
+# Tokens a fuzzed stdin mixes into a stream of symbols 1..3.
+STDIN_TOKENS = ["0", "1", "2", "3", "4", "-1", "01", "x", "9" * 30, "1.0", "\u0662"]
+
+
+@st.composite
+def fuzzed_stdin(draw):
+    """stdin bytes: a seeded stream of symbols 1..3, long enough to span
+    several reads, with fuzzed tokens put in; integers, some of them huge;
+    or empty input, whitespace only, or arbitrary bytes, which need not be
+    UTF-8."""
+    kind = draw(st.sampled_from(["stream", "integers", "empty", "space", "bytes"]))
+    if kind == "empty":
+        return b""
+    if kind == "integers":
+        small, huge = st.integers(0, 9), st.integers(-(10**30), 10**30)
+        return " ".join(map(str, draw(st.lists(small | huge, max_size=150)))).encode()
+    if kind == "space":
+        return draw(st.text(" \t\n\r\x0b\x0c", max_size=20)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tokens = [str(rng.randint(1, 3)) for _ in range(draw(st.sampled_from([3000, 20, 0])))]
+    for token in draw(st.lists(st.sampled_from(STDIN_TOKENS), max_size=3)):
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return " ".join(tokens).encode()
 
 
 class TestEncodeCommand:
@@ -680,6 +773,92 @@ class TestParserIdentity:
         full = (EXIT_OK if exc.value.code in (0, None) else EXIT_INPUT, *capsys.readouterr())
         assert got == full
         assert got[1] if argv[-1:] == ["-h"] else "error: " in got[2]
+
+
+# A canonical command line of each command, with a stdin that it reads.
+CANONICAL = {
+    "encode": (["encode", "--a", "3", "--q", "1/2,1/2", "--t", "3", "--report"],
+               make_stream(5, 300, 3)),
+    "simulate": (["simulate", "--q", "1/2,1/2", "--horizon", "2"], "0 0 1 0"),
+    "extract": (["extract", "--a", "2", "--t", "3", "--word", "1 1 2"], ""),
+    "select-t": (["select-t", "--q", "1/2,1/2", "--eps", "2/5", "--a", "3"], ""),
+    "certify-t": (["certify-t", "--p", "1/2,1/4,1/4", "--q", "1/2,1/2", "--t", "6",
+                   "--trials", "20", "--seed", "7"], ""),
+    "verify-bounds": (["verify-bounds", "--q", "1/3,2/3", "--kmax", "20"], ""),
+    "analyze": (["analyze", "--q", "1/2,1/2", "--alpha", "0.001"], "1 2 2 1 2 1 1 2"),
+    "tails": (["tails"], " ".join(str(1 + i % 9) for i in range(100))),
+}
+
+
+class TestArgvReader:
+    # main reads a well-formed command line without argparse; every other
+    # one goes to the parser, so argparse alone prints usage, help and errors.
+    @pytest.mark.parametrize("name", sorted(CANONICAL))
+    def test_canonical_line_builds_no_parser(self, name, monkeypatch):
+        argv, stdin_text = CANONICAL[name]
+        args = _build_parser().parse_args(argv)
+        out = io.StringIO()
+        expected = (_COMMANDS[name][0](args, io.StringIO(stdin_text), out), out.getvalue(), "")
+
+        def refuse(*args):
+            raise AssertionError("a parser was built")
+
+        monkeypatch.setattr("finitary.cli._build_parser", refuse)
+        assert run_cli(argv, stdin_text) == expected
+        assert expected[0] == EXIT_OK and expected[1]
+
+    def test_encode_leaves_argparse_unimported(self):
+        argv, stdin_text = CANONICAL["encode"]
+        code = (
+            "import sys; from finitary.cli import main; code = main(sys.argv[1:]); "
+            "sys.stdout.flush(); sys.exit(code or 'argparse' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            input=stdin_text,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv, stdin_text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines(dashed=True))
+    # An ambiguous abbreviation, a repeat whose last value wins and a
+    # missing required flag, which argparse refuses or reads its own way.
+    @example(["simulate", "--q", "1/2,1/2", "--h", "2"])
+    @example(["encode", "--", "3", "--a", "3", "--q", "1/2,1/2"])
+    @example(["encode", "--a", "3", "--q", "1/2,1/2", "--t", "2", "--t", "3"])
+    @example(["select-t", "--q", "1/2,1/2", "--a", "3"])
+    def test_reads_as_parse_args(self, argv):
+        fast = _read_argv(argv)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(_build_parser().parse_args(argv))
+            except SystemExit:
+                parsed = None
+        if parsed is None:
+            assert fast is None
+        elif fast is not None:
+            assert vars(fast) == parsed
+
+
+class TestFuzzedCommandLine:
+    # Every failure maps to a documented exit code with one error line.
+    @settings(max_examples=800, deadline=None)
+    @given(command_lines(dashed=False), fuzzed_stdin())
+    def test_exit_codes_and_error_lines(self, argv, data):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        out, err, printed = io.StringIO(), io.StringIO(), io.StringIO()
+        with redirect_stdout(printed), redirect_stderr(printed):
+            code = main(argv, stdin=stdin, stdout=out, stderr=err)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_WINDOW, EXIT_VERIFY)
+        err = err.getvalue()
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err[-1] == "\n")
+        assert "Traceback" not in err + printed.getvalue()
+        if argv[:1] == ["encode"] and code != EXIT_OK:
+            assert out.getvalue()[-1:] in ("", "\n")
 
 
 class TestStdoutDiscipline:
