@@ -157,8 +157,11 @@ def parse_word(text: str, alphabet_size: int) -> SymbolWord:
 
 def parse_bits(text: str) -> str:
     """Parse bits given either contiguously (``"0110"``) or separated, as
-    one string of "0" and "1"."""
-    bits = "".join(text.split())
+    one string of "0" and "1".  An error names the first token that holds
+    another character, not the whole input."""
+    tokens = text.split()
+    bits = "".join(tokens)
     if not set(bits) <= {"0", "1"}:
-        raise ValueError(f"malformed bit string: {text!r}")
+        bad = next(token for token in tokens if not set(token) <= {"0", "1"})
+        raise ValueError(f"malformed bit string: bad token {bad!r}")
     return bits

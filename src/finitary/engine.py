@@ -38,13 +38,19 @@ and no cursor, and the rest of the stream is only counted: no block of it
 is extracted, and no chunk after the one that closes that block is scanned.
 
 ``encode_stream`` runs the loop over a whole stream read in chunks;
-``map_range`` runs it over the window its indices can see, from the first
-block that holds one of them until the simulators of those blocks have
-finished.
+``map_range`` runs it over the window its indices can see.  That window
+starts at the marker that opens the block of its first index, the last
+marker to start before that index, which a scan back from the index finds:
+no simulator reads to the left of its own block, so the blocks from there
+on run as they would in the whole stream.  It ends once the simulators of
+the range's blocks have finished, and the symbols are copied and scanned in
+doubling pieces only as far as the loop reads them.  So one index costs the
+whole-stream symbol check and its own window, not a scan of the stream.
 
 Every output index of a block shares the block's left marker, right extent
 and simulated word, so the loop yields one record per block, each once the
-sweep's stack, the one record of every unfinished block, is empty.
+sweep's stack, the one record of every unfinished block, is empty.  A
+block is named by its left marker, which no block before it can change.
 ``map_range``'s per-index outputs and reports are views of the records,
 built on first access.
 
@@ -88,11 +94,11 @@ class _Sweep:
     next block's bits do), and the simulator on top of the stack reads each
     position.  This is the lockstep rule, since lockstep simulators never
     change their offsets: position p is reached first by the running
-    simulator with the largest start <= p (the larger index on a tie), which
+    simulator with the largest start <= p (the right one on a tie), which
     is the top.  So the top reads a whole run of positions in one cursor
     call, up to its success or the end of the block's bits, from an iterator
     over the block's bits that the simulators below it go on reading.  The
-    stack is the one record of every unfinished block, in index order.
+    stack is the one record of every unfinished block, left to right.
 
     Every run is checked against the last position read and the reading
     simulator's own last read, which is O(1) state per simulator: no
@@ -104,31 +110,29 @@ class _Sweep:
         self.q = q
         self.pos = 0  # the next flat position
         self.last = -1  # the last position read
-        self.stack: list[list] = []  # [(index, left, right), cursor, last read]
+        self.stack: list[list] = []  # [(left, right), cursor, last read]
 
     def feed(
-        self, k: int, left: int, right: int, bits: str | _LazyBits
-    ) -> Iterator[tuple[tuple[int, int, int], DyadicCursor]]:
-        """Push block k, the next block, between the markers at ``left`` and
+        self, left: int, right: int, bits: str | _LazyBits
+    ) -> Iterator[tuple[tuple[int, int], DyadicCursor]]:
+        """Push the next block, between the markers at ``left`` and
         ``right``, whose extracted bits are ``bits``, and sweep them.  Only
         ``len(bits)`` and one ``iter(bits)`` are used, so a sized iterable of
         "0" and "1" that makes its bits as they are read does as well as a
         string.
 
-        Yields ``((index, left, right), cursor)`` each time a simulator
-        succeeds.
+        Yields ``((left, right), cursor)`` each time a simulator succeeds.
         """
-        stack, p = self.stack, self.pos
-        stack.append([(k, left, right), DyadicCursor(self.q, right - left), -1])
+        stack, p, last = self.stack, self.pos, self.last
+        stack.append([(left, right), DyadicCursor(self.q, right - left), -1])
         end = self.pos = p + len(bits)
-        last = self.last
         block, cursor, prev = stack[-1]
         rest = iter(bits)
         while p < end:
             if p <= last:
-                raise InvariantViolation(f"position {p} consumed twice (simulator {block[0]})")
+                raise InvariantViolation(f"position {p} consumed twice (block at marker {block[0]})")
             if p <= prev:
-                raise InvariantViolation(f"simulator {block[0]} read out of order")
+                raise InvariantViolation(f"block at marker {block[0]} read out of order")
             p += cursor.read(rest)
             last = prev = p - 1
             if not cursor.successful:
@@ -152,7 +156,6 @@ class CodingReport:
     """
 
     index: int
-    block: int
     left_marker: int
     right_extent: int
 
@@ -165,9 +168,9 @@ class CodingReport:
 class BlockOutput:
     """The determined outputs of one block: ``symbols[j]`` is the output at
     index ``indices[j]``.  Each of those indices has ``left_marker`` and
-    ``right_extent`` in its CodingReport."""
+    ``right_extent`` in its CodingReport.  A block is named by its left
+    marker."""
 
-    block: int
     left_marker: int
     right_extent: int
     indices: range
@@ -191,7 +194,7 @@ class MapResult:
     @cached_property
     def reports(self) -> dict[int, CodingReport]:
         return {
-            i: CodingReport(i, b.block, b.left_marker, b.right_extent)
+            i: CodingReport(i, b.left_marker, b.right_extent)
             for b in self.blocks
             for i in b.indices
         }
@@ -221,20 +224,28 @@ def _records(
     max_window: int,
     first: int = 0,
     last: float = math.inf,
+    origin: int = 0,
 ) -> Iterator[BlockOutput]:
     """The records of the blocks that hold indices ``first..last`` of a
     validated stream that arrives in chunks, in block order.
 
+    The chunks hold the stream from position ``origin`` on, so records and
+    messages give the stream's own positions.  No marker may start between
+    ``origin`` and ``first``: ``map_range`` puts ``origin`` at the marker
+    that opens ``first``'s block.  So every block the loop closes holds an
+    index >= ``first``, and, since no simulator reads to the left of its
+    own block, those blocks run as they would in the whole stream.
+    ``first`` only clips the records and the caps checked (below).
+
     Markers are scanned, blocks extracted and their bits swept as the
-    symbols arrive.  A block whose closing marker lies before ``first`` is
-    skipped: no simulator reads to its left, so the ones to its right run as
-    they would in the whole stream.  Block k's record is final once no
-    simulator with index <= k is still running.  The bottom of the sweep's
+    symbols arrive.  A block's record is final once no simulator of a
+    block at or left of it is still running.  The bottom of the sweep's
     stack is the lowest running block and pops last, and every block that
-    finishes before it has a higher index.  So the finished records are
-    held until the stack empties, and then yielded in block order.  The
-    loop returns once the open block starts at or past ``last`` and every
-    simulator of a block holding an index <= ``last`` has finished.
+    finishes before it lies to its right.  So the finished records are held
+    until the stack empties, and then yielded in order of their left
+    markers.  The loop returns once the open block starts at or past
+    ``last`` and every simulator of a block holding an index <= ``last``
+    has finished.
 
     Each block's indices are clipped to ``first..last`` and then capped:
     index i may look at most ``max_window`` symbols past itself, and a
@@ -267,39 +278,37 @@ def _records(
     starved = cfg.alphabet_size * max(hi - lo for lo, hi in zip(cum, cum[1:])) <= den
     finished: list[BlockOutput] = []  # records that wait for the stack to empty
     buf: list[int] = []  # the symbols from ``base`` on
-    base = received = 0
+    base = received = origin
     left = None  # the marker that opens the block not yet closed
-    nxt = 0  # index of the next block to close
 
     def output(
-        block: tuple[int, int, int], word: SymbolWord | None = None, right: int = 0
+        block: tuple[int, int], word: SymbolWord | None = None, right: int = 0
     ) -> BlockOutput | None:
         # The record of ``block``, or None if none of its indices is
         # determined.  ``word`` is its simulated word, None while the
         # simulator runs, and ``right`` the end of the marker closing the
         # last block it read.
-        k, left_k, marker = block
+        left_k, marker = block
         lo, hi = max(first, left_k + 1), min(last, marker)
-        # Indices from ``seen`` on see block k's right marker, and those from
+        # Indices from ``seen`` on see the block's right marker, and those from
         # ``start`` on see everything its simulator read.
         seen = max(lo, marker + t - cap)
         start = hi + 1 if word is None else max(seen, right - cap)
         if seen < min(start, hi + 1) and seen + cap < received:
             raise WindowExhausted(
                 f"cap of {max_window} symbols past index {seen} exhausted "
-                f"before block {k} completed"
+                f"before the block at marker {left_k} completed"
             )
         if start > hi:
             return None
-        symbols = word[start - left_k - 1 : hi - left_k]
-        return BlockOutput(k, left_k, right, range(start, hi + 1), symbols)
+        return BlockOutput(left_k, right, range(start, hi + 1), word[start - left_k - 1 : hi - left_k])
 
     def check_running() -> None:
         if sweep.stack:
             output(sweep.stack[0][0])
 
     def release() -> Iterator[BlockOutput]:
-        finished.sort(key=lambda record: record.block)
+        finished.sort(key=lambda record: record.left_marker)
         yield from finished
         finished.clear()
 
@@ -308,35 +317,33 @@ def _records(
             received += len(symbols)
             check_running()
             continue
-        scan_from = max(received - t + 1, 0)  # where a marker may start unseen
+        scan_from = max(received - t + 1, base)  # where a marker may start unseen
         buf.extend(symbols)
         received += len(symbols)
         for marker in scan_markers(buf[scan_from - base :], cfg):
             marker += scan_from
             if left is not None:
-                if marker >= first:
-                    if starved:  # no cursor, and no more markers
-                        sweep.stack.append([(nxt, left, marker), None, -1])
-                        buf.clear()
-                        break
-                    word = tuple(buf[left + t - base : marker - base])
-                    bits = _lazy_bits(word, cfg)
-                    for block, cursor in sweep.feed(nxt, left, marker, bits):
-                        try:
-                            record = output(block, tuple(cursor.emitted), marker + t)
-                        except WindowExhausted:
-                            check_running()  # a lower block ran past its cap first
-                            raise
-                        if record:
-                            finished.append(record)
-                    if not sweep.stack:
-                        yield from release()
-                nxt += 1
+                if starved:  # no cursor, and no more markers
+                    sweep.stack.append([(left, marker), None, -1])
+                    buf.clear()
+                    break
+                word = tuple(buf[left + t - base : marker - base])
+                bits = _lazy_bits(word, cfg)
+                for block, cursor in sweep.feed(left, marker, bits):
+                    try:
+                        record = output(block, tuple(cursor.emitted), marker + t)
+                    except WindowExhausted:
+                        check_running()  # a lower block ran past its cap first
+                        raise
+                    if record:
+                        finished.append(record)
+                if not sweep.stack:
+                    yield from release()
             left = marker
-            if left >= last and (not sweep.stack or sweep.stack[0][0][1] >= last):
+            if left >= last and (not sweep.stack or sweep.stack[0][0][0] >= last):
                 return  # every record in range has been yielded
         check_running()
-        cut = max(received - t + 1, 0) if left is None else min(left + t, received - t + 1)
+        cut = max(received - t + 1, base) if left is None else min(left + t, received - t + 1)
         del buf[: cut - base]
         base = cut
     check_running()
@@ -362,14 +369,29 @@ def map_range(
     index's cap (so the cap, not the input, was the binding constraint).
     Every index of a block shares its left marker, right extent and word, so
     the work is done once per block, and only for the blocks of the range
-    and the blocks their simulators read.
+    and the blocks their simulators read.  The whole stream is checked for
+    bad symbols, but only that window is copied and scanned, so one index
+    costs the check and its own window.
     """
     x = check_word(stream, cfg.alphabet_size)
     if not 0 <= first <= last < len(x):
         raise ValueError(f"range {first}..{last} outside input 0..{len(x) - 1}")
+    # The loop starts at the last marker to start before ``first``, found by
+    # scanning back from ``first`` in doubling windows, or at 0 if none does.
+    origin, size, marks = first, 256, []
+    while origin and not marks:
+        end, origin, size = origin + cfg.marker_len - 1, max(origin - size, 0), 2 * size
+        marks = scan_markers(x[origin:end], cfg)
+    origin += marks[-1] if marks else 0
     # The symbol after the last index's cap tells whether the input goes on.
-    window = x[: last + max_window + 2]
-    blocks = list(_records([window], cfg, q, max_window, first, last))
+    stop = last + max_window + 2
+
+    def window(start: int, size: int) -> Iterator[SymbolWord]:
+        while start < stop:  # in doubling pieces, so it is copied as it is read
+            yield x[start : min(start + size, stop)]
+            start, size = start + size, 2 * size
+
+    blocks = list(_records(window(origin, 1024), cfg, q, max_window, first, last, origin))
     undetermined, i = [], first
     for b in blocks:
         undetermined += range(i, b.indices.start)

@@ -227,7 +227,8 @@ def test_criterion_8_coding_radius_exponential_tail(engine_run):
 
 def test_criterion_9_left_independence():
     with criterion(9, "left independence of simulators"):
-        # A range from block 5 on sweeps no simulator below block 5.
+        # A range from the sixth marker on sweeps no simulator of a block
+        # to the left of that marker.
         cfg = PatternConfig(3, 3)
         for seed in range(100):
             rng = np.random.Generator(np.random.PCG64(2000 + seed))
@@ -236,7 +237,7 @@ def test_criterion_9_left_independence():
             assert len(marks) > 11
             full = F.map_range(stream, cfg, FAIR, 0, len(stream) - 1).blocks
             tail = F.map_range(stream, cfg, FAIR, marks[5] + 1, len(stream) - 1).blocks
-            assert tail and tail == [b for b in full if b.block >= 5]
+            assert tail and tail == [b for b in full if b.left_marker >= marks[5]]
 
 
 def test_criterion_10_schedule_invariants(engine_run):
@@ -248,10 +249,10 @@ def test_criterion_10_schedule_invariants(engine_run):
         assert result.outputs  # the big run completed with checks enabled
         # A sweep rewound to its first position reads that position again.
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 0, 40, "011")) == []
+        assert list(sweep.feed(0, 40, "011")) == []
         sweep.pos = 0
         with pytest.raises(InvariantViolation, match="consumed twice"):
-            list(sweep.feed(1, 40, 80, "0"))
+            list(sweep.feed(40, 80, "0"))
 
 
 def test_criterion_11_block_length_statistics():

@@ -845,9 +845,12 @@ class TestArgvReader:
 
 
 class TestFuzzedCommandLine:
-    # Every failure maps to a documented exit code with one error line.
+    # Every failure maps to a documented exit code with one short error
+    # line: at most 200 characters past the longest token it could name.
     @settings(max_examples=800, deadline=None)
     @given(command_lines(dashed=False), fuzzed_stdin())
+    # A long malformed bit string was once quoted whole.
+    @example(["simulate", "--q", "1/2,1/2"], b"0 1 " * 2_000 + b"2")
     def test_exit_codes_and_error_lines(self, argv, data):
         stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         out, err, printed = io.StringIO(), io.StringIO(), io.StringIO()
@@ -856,6 +859,8 @@ class TestFuzzedCommandLine:
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_WINDOW, EXIT_VERIFY)
         err = err.getvalue()
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err[-1] == "\n")
+        tokens = data.decode("utf-8", "replace").split() + argv
+        assert len(err) <= 200 + max((len(repr(token)) for token in tokens), default=0)
         assert "Traceback" not in err + printed.getvalue()
         if argv[:1] == ["encode"] and code != EXIT_OK:
             assert out.getvalue()[-1:] in ("", "\n")

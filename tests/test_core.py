@@ -171,8 +171,14 @@ class TestWordsAndBits:
         assert parse_bits("1") == "1"
 
     def test_parse_bits_rejects_other_symbols(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^malformed bit string: bad token '012'$"):
             parse_bits("012")
+        # The error names the first bad token, not the whole input, which
+        # may be as long as stdin.
+        with pytest.raises(ValueError, match=r"^malformed bit string: bad token '2'$"):
+            parse_bits("0 1 " * 10_000 + "2 1x 0")
+        with pytest.raises(ValueError, match=r"^malformed bit string: bad token '1x'$"):
+            parse_bits("0110\n1x 2")
 
     @pytest.mark.parametrize("text", ["\u0661\u0660", "0 2"], ids=["arabic-indic", "two"])
     def test_parse_bits_refuses_other_digits(self, text):

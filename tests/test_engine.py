@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -84,18 +85,19 @@ class TestScanMarkers:
 class TestSweep:
     def test_single_block_self_sufficient(self):
         sweep = _Sweep(FAIR)
-        [(block, cursor)] = sweep.feed(0, 0, 2, "0010")
-        assert (block, cursor.emitted, cursor.bits_consumed) == ((0, 0, 2), [1, 1], 4)
+        [(block, cursor)] = sweep.feed(0, 2, "0010")
+        assert (block, cursor.emitted, cursor.bits_consumed) == ((0, 2), [1, 1], 4)
         assert (sweep.pos, sweep.last, sweep.stack) == (4, 3, [])
 
     def test_queue_up_priority_to_rightmost(self):
-        # Blocks 0 and 1 have no bits, so all three simulators start at
-        # block 2's first bit, and the rightmost reads both of its bits.
+        # The blocks at 0 and 2 have no bits, so all three simulators start
+        # at the first bit of the block at 4, and the rightmost reads both
+        # of its bits.
         sweep = _Sweep(FAIR)
         for k, e in enumerate([0, 0, 2]):
-            assert list(sweep.feed(k, 2 * k, 2 * k + 2, "0" * e)) == []
+            assert list(sweep.feed(2 * k, 2 * k + 2, "0" * e)) == []
         assert [(block, prev) for block, _, prev in sweep.stack] == [
-            ((0, 0, 2), -1), ((1, 2, 4), -1), ((2, 4, 6), 1)
+            ((0, 2), -1), ((2, 4), -1), ((4, 6), 1)
         ]
         assert [c.bits_consumed for _, c, _ in sweep.stack] == [0, 0, 2]
 
@@ -183,7 +185,7 @@ class TestBitAccounting:
         sweep = _Sweep(q)
         for b in blocks:
             count, e = 0, b.bit_count
-            list(sweep.feed(b.index, b.left_marker, b.right_marker, "".join(map(str, b.bits))))
+            list(sweep.feed(b.left_marker, b.right_marker, "".join(map(str, b.bits))))
             if e:
                 # Every block with bits is read from its first position on.
                 unread = sweep.pos - 1 - sweep.last
@@ -208,7 +210,8 @@ class TestAgainstNaiveTranscription:
     def test_schedule_matches(self, seed, size, a, t, q, kind):
         # Every target's record, from one range over the targets or, for
         # the scattered ones, one range per block, has the naive simulator's
-        # word and ends at the marker closing the last block it read.
+        # word and ends at the marker closing the last block it read.  A
+        # record is named by its block's left marker.
         stream = random_stream(seed, size, a)
         cfg = PatternConfig(a, t)
         blocks = naive_blocks(stream, a, t)
@@ -220,12 +223,13 @@ class TestAgainstNaiveTranscription:
             ranges = [(blocks[targets[0]].left_marker + 1, blocks[targets[-1]].right_marker)]
         records = {}
         for first, last in ranges:
-            records.update((b.block, b) for b in map_range(stream, cfg, q, first, last).blocks)
-        assert records.keys() == done.keys() & set(targets)
+            records.update((b.left_marker, b) for b in map_range(stream, cfg, q, first, last).blocks)
+        assert records.keys() == {blocks[k].left_marker for k in done.keys() & set(targets)}
         for k in targets:
             if k in done:
                 right = blocks[reach[k]].right_marker + t
-                assert (records[k].symbols, records[k].right_extent) == (done[k], right)
+                record = records[blocks[k].left_marker]
+                assert (record.symbols, record.right_extent) == (done[k], right)
 
     def test_full_map_matches_naive(self):
         stream = random_stream(11, 10_000, 2)
@@ -379,6 +383,37 @@ class TestMapRange:
         assert i in full.reports and res.reports == {i: full.reports[i]}
         assert res.undetermined == []
 
+    def test_index_deep_in_a_long_block(self):
+        # The scan back from an index 2,900 symbols into a block passes
+        # windows of 256, 512 and 1,024 symbols with no marker in them
+        # before it finds the block's own.
+        stream, _ = TestSweep.empty_blocks_then_word(2, 3_000, 8)
+        cfg, n = PatternConfig(8, 3), len(stream)
+        full = map_range(stream, cfg, FAIR, 0, n - 1)
+        assert 9 + 2_900 in full.outputs
+        for first in (9 + 2_900, 9 + 2_999, 9):
+            res = map_range(stream, cfg, FAIR, first, n - 1)
+            assert res.blocks == clipped(full.blocks, first, n - 1)
+
+    def test_one_index_scans_only_its_window(self, monkeypatch):
+        # The loop starts at the marker that opens the index's block, found
+        # by a scan back from the index, and reads the stream in doubling
+        # pieces only as far as the simulators of that block read.
+        import finitary.engine
+
+        stream = random_stream(7, 200_000, 3)
+        cfg, i = PatternConfig(3, 3), 199_000
+        scan, scanned = finitary.engine.scan_markers, []
+
+        def counted(segment, cfg):
+            scanned.append(len(segment))
+            return scan(segment, cfg)
+
+        monkeypatch.setattr(finitary.engine, "scan_markers", counted)
+        radius = certified_radius(stream, cfg, FAIR, i)
+        assert 0 < sum(scanned) < len(stream) // 100
+        assert radius == certified_radius(stream[i - 2_000 :], cfg, FAIR, 2_000)
+
 
 class TestPulledBits:
     def test_wide_block_walk_stops_with_its_reader(self, monkeypatch):
@@ -507,7 +542,8 @@ class TestCertifiedRadius:
             assert report.radius >= i - report.left_marker
             assert report.left_marker in marks
             assert report.radius >= 1
-            assert report.right_extent >= marks[report.block + 1] + cfg.marker_len
+            closing = marks[marks.index(report.left_marker) + 1]
+            assert report.right_extent >= closing + cfg.marker_len
 
     def test_single_index_matches_bulk(self):
         stream = random_stream(9, 2000, 3)
@@ -537,14 +573,15 @@ class TestEquivariance:
 class TestLeftIndependence:
     @pytest.mark.parametrize("seed", range(6))
     def test_adding_left_simulators_changes_nothing(self, seed):
-        # A range from block 5 on sweeps no simulator below block 5.
+        # A range from the sixth marker on sweeps no simulator of a block
+        # to the left of that marker.
         stream = random_stream(100 + seed, 3000, 3)
         cfg, n = PatternConfig(3, 3), len(stream)
         marks = scan_markers(stream, cfg)
         assert len(marks) > 9
         full = map_range(stream, cfg, FAIR, 0, n - 1).blocks
         tail = map_range(stream, cfg, FAIR, marks[5] + 1, n - 1).blocks
-        assert tail and tail == [b for b in full if b.block >= 5]
+        assert tail and tail == [b for b in full if b.left_marker >= marks[5]]
 
 
 class TestSourceUniversality:
@@ -594,6 +631,36 @@ def chunked(draw, stream):
 STREAM_QS = ["1/2,1/2", "1/3,2/3", "1/4,1/4,1/2"]
 
 
+@st.composite
+def ranges_by_markers(draw, stream, cfg):
+    """Ranges of the stream, one for each of these that occurs: the first
+    index has a marker starting just before it, at it or across it, no
+    marker before it, or anything before it.  Each last index is anywhere
+    from its first on."""
+    n, t, marks = len(stream), cfg.marker_len, scan_markers(stream, cfg)
+    kinds = [
+        [m + 1 for m in marks if m + 1 < n],
+        marks,
+        [m + d for m in marks for d in range(1, t) if m + d < n],
+        range(marks[0] + 1 if marks else n),
+        range(n),
+    ]
+    firsts = [draw(st.sampled_from(firsts)) for firsts in kinds if firsts]
+    return [(first, draw(st.integers(first, n - 1))) for first in firsts]
+
+
+def clipped(blocks, first, last):
+    """The records ``blocks`` cut down to the indices ``first..last``."""
+    cut = []
+    for b in blocks:
+        lo, hi = max(b.indices.start, first), min(b.indices.stop, last + 1)
+        if lo < hi:
+            start = b.indices.start
+            symbols = b.symbols[lo - start : hi - start]
+            cut.append(replace(b, indices=range(lo, hi), symbols=symbols))
+    return cut
+
+
 class TestEncodeStream:
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(2, 4), st.integers(1, 6), st.sampled_from(STREAM_QS))
@@ -601,6 +668,8 @@ class TestEncodeStream:
         q = ProbabilityVector.parse(q_text)
         cfg = PatternConfig(a, t)
         stream = data.draw(streams(a, t))
+        if data.draw(st.booleans()):
+            stream[:0] = [2] + [1] * (t - 1)  # a marker at 0
         chunks = data.draw(chunked(stream))
         # Half the draws take the default cap, which small streams never
         # exhaust, so that both outcomes are common.
@@ -619,6 +688,12 @@ class TestEncodeStream:
                 assert map_range(stream, cfg, q, lo, hi, cap).blocks == [record]
         else:
             assert list(encode_stream(chunks, cfg, q, cap)) == expected
+            # A range starts where the scan back from its first index finds
+            # that index's block.  The whole stream raised nothing, so no
+            # index does alone, and the range gets the whole stream's records.
+            for first, last in data.draw(ranges_by_markers(stream, cfg)):
+                part = map_range(stream, cfg, q, first, last, cap).blocks
+                assert part == clipped(expected, first, last)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(2, 4), st.integers(1, 6), st.sampled_from(STREAM_QS))
@@ -700,16 +775,17 @@ class TestEncodeStream:
         # position; rewinding it further, past what the simulator below
         # the new one has read, makes that simulator read out of order.
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 0, 40, "011")) == []
+        assert list(sweep.feed(0, 40, "011")) == []
         sweep.pos = 0
         with pytest.raises(InvariantViolation, match="consumed twice"):
-            list(sweep.feed(1, 40, 80, "0"))
+            list(sweep.feed(40, 80, "0"))
         sweep = _Sweep(FAIR)
-        assert list(sweep.feed(0, 0, 40, "00000")) == []
+        assert list(sweep.feed(0, 40, "00000")) == []
         sweep.pos, sweep.last = 0, -1
-        with pytest.raises(InvariantViolation, match="simulator 0 read out of order"):
-            # Simulator 1 draws its one symbol from 0, 1, 0 and pops.
-            list(sweep.feed(1, 40, 41, "0100"))
+        with pytest.raises(InvariantViolation, match="block at marker 0 read out of order"):
+            # The simulator of the block at 40 draws its one symbol from 0,
+            # 1, 0 and pops.
+            list(sweep.feed(40, 41, "0100"))
 
 
 # Targets with a q_max <= 1 for some a in 2..4, so that no simulator of an
@@ -818,8 +894,10 @@ class TestStarvedStreams:
         # after the first block, through ``encode_stream`` in chunks and
         # ``map_range`` over three random ranges each.  The records, the
         # undetermined indices and every exception's type and message hash
-        # to the digest that the loop gave when it still pushed every
-        # block of such a stream onto the stack and scanned all of it.
+        # to a pinned digest.  The loop that still pushed every block of
+        # such a stream onto the stack and scanned all of it gave the same
+        # outcomes, with each block then named by its ordinal, not its left
+        # marker.
         rng, h, kinds = random.Random(28), hashlib.sha256(), Counter()
         for _ in range(600):
             stream, cfg, q, cap, chunks = starved_case(rng)
@@ -833,7 +911,7 @@ class TestStarvedStreams:
             h.update(repr(outs).encode())
         assert kinds == {"WindowExhausted": 1126, None: 796, "SymbolError": 478}
         assert h.hexdigest() == (
-            "88845b28292e3f93b0dc67e9dfe7bbfe900e68ad6adffbc61dcd5702999f6315"
+            "78c91c9e29ad839a5bd547beca115d207a556742499c80e6c62cf0d8d03280bb"
         )
 
 
